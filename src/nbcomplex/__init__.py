@@ -19,7 +19,7 @@ from .graphs import (Graph, GnpParams, SubgraphWitness, clique_number,
 from .complexes import (ClosedSetPoset, SimplicialComplex, closed_set_poset,
                         closure, common_neighbors, facet_list_text,
                         lovasz_retract, neighborhood_complex, neighborliness,
-                        parse_facet_list, poset_height)
+                        parse_facet_list)
 from .homology import (AtLeast, ChainComplexData, HomologyResult,
                        betti_field2, boundary_matrices, euler_characteristic,
                        graph_homology, homological_connectivity,

@@ -105,12 +105,22 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    if args.facets is not None:
-        if any(getattr(args, k) is not None
-               for k in ("input", "family", "gnp")):
-            raise ValueError("--facets replaces the graph sources")
-        with open(args.facets, encoding="utf-8") as fh:
-            comp = parse_facet_list(fh.read())
+    if args.facets is None and args.coeff != "f2":
+        result, source = graph_homology(_load_graph(args),
+                                        max_dim=args.max_dim,
+                                        with_field2=args.coeff == "both")
+        out = result.to_json_dict()
+    else:
+        if args.facets is None:
+            comp = neighborhood_complex(_load_graph(args))
+            source = "direct"
+        else:
+            if any(getattr(args, k) is not None
+                   for k in ("input", "family", "gnp")):
+                raise ValueError("--facets replaces the graph sources")
+            with open(args.facets, encoding="utf-8") as fh:
+                comp = parse_facet_list(fh.read())
+            source = "facets"
         data = boundary_matrices(comp, max_dim=args.max_dim)
         if args.coeff == "f2":
             out = {"betti": None, "torsion": None,
@@ -119,19 +129,6 @@ def _cmd_homology(args) -> int:
         else:
             out = homology_integer(
                 data, with_field2=args.coeff == "both").to_json_dict()
-        source = "facets"
-    elif args.coeff == "f2":
-        comp = neighborhood_complex(_load_graph(args))
-        data = boundary_matrices(comp, max_dim=args.max_dim)
-        out = {"betti": None, "torsion": None,
-               "field2": list(betti_field2(data)),
-               "truncated": data.truncated}
-        source = "direct"
-    else:
-        result, source = graph_homology(_load_graph(args),
-                                        max_dim=args.max_dim,
-                                        with_field2=args.coeff == "both")
-        out = result.to_json_dict()
     out["source"] = source
     _emit_json(out, args.output)
     return 0

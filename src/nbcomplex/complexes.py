@@ -5,8 +5,10 @@ The complex N[G] has a face for every vertex subset with a common neighbor,
 so its facets are exactly the inclusion-maximal neighborhoods.  Closing the
 nonempty neighborhoods under intersection yields the poset of closed sets;
 its order complex (vertices are closed sets, faces are chains) is a
-deformation retract of N[G] and usually far smaller.  The face poset itself
-is never materialized.
+deformation retract of N[G].  It is smaller for some graphs (complete
+bipartite ones, for instance) and far larger for others (complete graphs,
+where it is the barycentric subdivision).  The face poset itself is never
+materialized.
 """
 
 from __future__ import annotations
@@ -72,19 +74,39 @@ class SimplicialComplex:
             return bool(self.facets)
         return any(ss.issubset(f) for f in self.facets)
 
+    def faces_up_to(self, top: int, cap: Optional[int] = None
+                    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Sorted faces of each dimension 0..top, one tuple per dimension.
+
+        This is the one place faces are enumerated.  With ``cap`` set,
+        raises ``ResourceCapError`` as soon as the running total over all
+        dimensions passes it, so an oversized complex is abandoned early.
+        """
+        out = []
+        total = 0
+        for k in range(top + 1):
+            layer: set[tuple[int, ...]] = set()
+            for f in self.facets:
+                if len(f) > k:
+                    layer.update(combinations(f, k + 1))
+                    if cap is not None and total + len(layer) > cap:
+                        raise ResourceCapError(
+                            f"face enumeration exceeded cap {cap} in "
+                            f"dimension {k}",
+                            partial_count=total + len(layer))
+            total += len(layer)
+            out.append(tuple(sorted(layer)))
+        return tuple(out)
+
     def k_faces(self, k: int) -> list[tuple[int, ...]]:
         """All faces of dimension k (size k+1), sorted."""
         if k < 0:
             raise ValueError(f"face dimension must be nonnegative, got {k}")
-        out: set[tuple[int, ...]] = set()
-        for f in self.facets:
-            if len(f) >= k + 1:
-                out.update(combinations(f, k + 1))
-        return sorted(out)
+        return list(self.faces_up_to(k)[k])
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_dim); empty tuple for the empty complex."""
-        return tuple(len(self.k_faces(k)) for k in range(self.dimension + 1))
+        return tuple(len(layer) for layer in self.faces_up_to(self.dimension))
 
     def component_count(self) -> int:
         """Connected components of the underlying 1-skeleton."""
@@ -298,11 +320,6 @@ def closed_set_poset(g: Graph, vertex_cap: int = 16,
     return ClosedSetPoset(elements, tuple(covers), height)
 
 
-def poset_height(p: ClosedSetPoset) -> int:
-    """Longest chain length minus one; -1 for the empty poset."""
-    return p.height
-
-
 def lovasz_retract(p: ClosedSetPoset,
                    chain_cap: int = 500_000) -> SimplicialComplex:
     """Order complex of the closed-set poset.
@@ -322,25 +339,21 @@ def lovasz_retract(p: ClosedSetPoset,
     for ups in uppers:
         ups.sort()
 
+    # depth-first walk up the Hasse diagram, one partial chain per stack
+    # entry; a chain that reaches a maximal element is a maximal chain
     chains: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def descend(v: int) -> None:
-        stack.append(v)
-        if uppers[v]:
-            for w in uppers[v]:
-                descend(w)
+    stack = [(v,) for v in range(m) if not has_lower[v]]
+    while stack:
+        path = stack.pop()
+        ups = uppers[path[-1]]
+        if ups:
+            stack.extend([path + (w,) for w in ups])
         else:
             if len(chains) >= chain_cap:
                 raise ResourceCapError(
                     f"maximal chain enumeration exceeded cap {chain_cap}",
                     partial_count=len(chains))
-            chains.append(tuple(stack))
-        stack.pop()
-
-    for v in range(m):
-        if not has_lower[v]:
-            descend(v)
+            chains.append(path)
     # element indices ascend along any chain (sorted by size first), so the
     # tuples are already sorted; distinct maximal chains are incomparable
     return SimplicialComplex(m, tuple(sorted(chains)))

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field, asdict
 from multiprocessing import Pool
@@ -30,7 +31,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Caps:
-    """Work caps threaded through survey trials."""
+    """Work caps threaded through survey trials.
+
+    ``faces_per_dim`` caps the total face count of a homology route over
+    dimensions 0..max_dim+1, not each dimension on its own; the name is
+    kept because it appears in every summary's config echo.
+    """
 
     clique_vertices: int = 64
     poset_vertices: int = 16
@@ -208,16 +214,18 @@ def _trial_star(args: tuple) -> TrialRecord:
 def run_survey(cfg: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     """All trials of a survey, ordered by (p index, trial index).
 
-    ``jobs`` > 1 fans trials out to a process pool; results are identical
-    to a serial run because every trial is seeded independently.
+    ``jobs`` > 1 fans trials out to a process pool of at most that many
+    workers, and never more than there are trials or CPUs; results are
+    identical to a serial run because every trial is seeded independently.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     work = [(cfg, pi, ti)
             for pi in range(len(cfg.p_grid)) for ti in range(cfg.trials)]
-    if jobs == 1:
+    procs = min(jobs, len(work), os.cpu_count() or 1)
+    if procs == 1:
         return [run_trial(*w) for w in work]
-    with Pool(jobs) as pool:
+    with Pool(procs) as pool:
         return pool.map(_trial_star, work)
 
 

@@ -65,22 +65,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def complement_nonedges(self) -> Iterator[tuple[int, int]]:
-        for u, v in combinations(range(self.n), 2):
-            if v not in self.adj[u]:
-                yield (u, v)
-
-    def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph, relabeled 0..len(vertices)-1 in the given order."""
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("duplicate vertices in induced subgraph request")
-        es = []
-        for u, v in combinations(vertices, 2):
-            if self.has_edge(u, v):
-                es.append((index[u], index[v]))
-        return Graph.from_edges(len(vertices), es)
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple, Optional, Union
 
@@ -178,9 +177,10 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
                       face_cap: int = 500_000) -> ChainComplexData:
     """Assemble boundary maps of a complex for dimensions 0..max_dim.
 
-    Faces are enumerated per facet and deduplicated; the per-dimension face
-    count is capped.  Signs follow the ascending-vertex convention: deleting
-    the i-th smallest vertex carries (-1)**i.
+    Faces of dimensions 0..max_dim+1 come from
+    ``SimplicialComplex.faces_up_to``, and ``face_cap`` caps their total
+    over all those dimensions.  Signs follow the ascending-vertex
+    convention: deleting the i-th smallest vertex carries (-1)**i.
     """
     dim = c.dimension
     if max_dim is None:
@@ -188,18 +188,7 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
 
-    faces: list[tuple[tuple[int, ...], ...]] = []
-    for k in range(0, max_dim + 2):
-        layer: set[tuple[int, ...]] = set()
-        for f in c.facets:
-            if len(f) >= k + 1:
-                layer.update(combinations(f, k + 1))
-                if len(layer) > face_cap:
-                    raise ResourceCapError(
-                        f"face enumeration exceeded cap {face_cap} in "
-                        f"dimension {k}")
-        faces.append(tuple(sorted(layer)))
-
+    faces = c.faces_up_to(max_dim + 1, cap=face_cap)
     index: list[dict] = [{f: i for i, f in enumerate(layer)} for layer in faces]
 
     boundaries: list[SparseIntMatrix] = []
@@ -216,7 +205,7 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
             cols.append(col)
         boundaries.append(SparseIntMatrix(len(faces[k - 1]), len(faces[k]),
                                           tuple(cols)))
-    return ChainComplexData(max_dim, dim, tuple(faces), tuple(boundaries))
+    return ChainComplexData(max_dim, dim, faces, tuple(boundaries))
 
 
 def boundary_composition_is_zero(d: ChainComplexData) -> bool:
@@ -325,32 +314,6 @@ def homological_connectivity(h: HomologyResult) -> Connectivity:
     return AtLeast(h.max_dim)
 
 
-def _total_faces(c: SimplicialComplex, max_dim: int, cap: int) -> Optional[int]:
-    """Total face count of c through dimension max_dim+1, or None past cap."""
-    total = 0
-    for k in range(0, max_dim + 2):
-        layer: set = set()
-        for f in c.facets:
-            if len(f) >= k + 1:
-                layer.update(combinations(f, k + 1))
-                if total + len(layer) > cap:
-                    return None
-        total += len(layer)
-    return total
-
-
-def _pad(h: HomologyResult, length: int) -> HomologyResult:
-    """Extend a result with vanishing groups up to the requested length."""
-    if len(h.betti) >= length:
-        return h
-    extra = length - len(h.betti)
-    return HomologyResult(
-        h.betti + (0,) * extra,
-        h.torsion + ((),) * extra,
-        h.field2 + (0,) * extra if h.field2 is not None else None,
-        h.truncated, h.empty)
-
-
 def graph_homology(g, max_dim: Optional[int] = None, with_field2: bool = False,
                    vertex_cap: int = 16, element_cap: int = 20_000,
                    chain_cap: int = 500_000, face_cap: int = 500_000,
@@ -358,50 +321,55 @@ def graph_homology(g, max_dim: Optional[int] = None, with_field2: bool = False,
                    use_retract: bool = True) -> tuple[HomologyResult, str]:
     """Homology of a graph's neighborhood complex, route chosen by size.
 
-    Builds the closed-set retract when its caps allow, counts faces on both
-    candidates, and runs the exact computation on the smaller one.  Returns
-    the result and which route ran ("retract" or "direct").  Both routes
-    compute the same groups; with max_dim=None the answer always covers
-    every dimension of the neighborhood complex.
+    Builds the chain data of the neighborhood complex itself first, then
+    that of the closed-set retract (when its caps allow) with the face cap
+    lowered to the direct complex's face total, so a retract that would
+    lose stops as soon as it does.  The retract runs when its total is no
+    larger.  Both totals count faces through dimension max_dim+1 and are
+    capped by ``face_cap``.  Returns the result and which route ran
+    ("retract" or "direct").  Both routes compute the same groups; with
+    max_dim=None the answer always covers every dimension of the
+    neighborhood complex, and ``truncated`` says whether max_dim lies below
+    that dimension, whichever route ran.
 
     A caller that already holds the graph's closed-set poset can pass it as
     ``poset``; ``use_retract=False`` skips the retract route entirely.
     """
     from .complexes import closed_set_poset, lovasz_retract, neighborhood_complex
 
+    def chain_data(comp: SimplicialComplex, cap: int) -> ChainComplexData:
+        top = comp.dimension if max_dim is None else min(max_dim, comp.dimension)
+        return boundary_matrices(comp, max_dim=max(top, 0), face_cap=cap)
+
     nc = neighborhood_complex(g)
-    candidates: list[tuple[str, SimplicialComplex]] = []
+    data: Optional[ChainComplexData] = None
+    source = "direct"
+    try:
+        data = chain_data(nc, face_cap)
+    except ResourceCapError:
+        pass
     if use_retract:
+        # the direct total is within face_cap, so it is the tighter cap
+        cap = face_cap if data is None else sum(
+            len(layer) for layer in data.faces)
         try:
             if poset is None:
                 poset = closed_set_poset(g, vertex_cap=vertex_cap,
                                          element_cap=element_cap)
-            candidates.append(
-                ("retract", lovasz_retract(poset, chain_cap=chain_cap)))
+            data = chain_data(lovasz_retract(poset, chain_cap=chain_cap), cap)
+            source = "retract"
         except ResourceCapError:
             pass
-    candidates.append(("direct", nc))
-
-    best: Optional[tuple[int, str, SimplicialComplex, int]] = None
-    for source, comp in candidates:
-        dm = comp.dimension if max_dim is None else min(max_dim, comp.dimension)
-        dm = max(dm, 0)
-        total = _total_faces(comp, dm, face_cap)
-        if total is not None and (best is None or total < best[0]):
-            best = (total, source, comp, dm)
-    if best is None:
+    if data is None:
         raise ResourceCapError(
             f"every homology route exceeds the face cap {face_cap}")
-    _, source, comp, dm = best
-    data = boundary_matrices(comp, max_dim=dm, face_cap=face_cap)
-    result = homology_integer(data, with_field2=with_field2)
-    if max_dim is None:
-        result = _pad(result, max(nc.dimension, 0) + 1)
-        result = HomologyResult(result.betti, result.torsion, result.field2,
-                                False, result.empty)
-    else:
-        result = _pad(result, max_dim + 1)
-        truncated = max_dim < comp.dimension
-        result = HomologyResult(result.betti, result.torsion, result.field2,
-                                truncated, result.empty)
-    return result, source
+
+    h = homology_integer(data, with_field2=with_field2)
+    top = max(nc.dimension, 0) if max_dim is None else max_dim
+    extra = top + 1 - len(h.betti)
+    return HomologyResult(
+        h.betti + (0,) * extra,
+        h.torsion + ((),) * extra,
+        h.field2 + (0,) * extra if h.field2 is not None else None,
+        max_dim is not None and max_dim < nc.dimension,
+        h.empty), source

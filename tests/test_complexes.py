@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -49,6 +50,17 @@ def test_is_face_and_k_faces():
     assert c.k_faces(1) == [(0, 1), (0, 2), (1, 2), (2, 3)]
     assert c.k_faces(5) == []
     assert c.vertices() == (0, 1, 2, 3)
+
+
+def test_face_enumeration_caps_the_running_total():
+    # the boundary of a tetrahedron: 4 vertices, 6 edges, 4 triangles
+    c = neighborhood_complex(complete_graph(4))
+    assert [len(layer) for layer in c.faces_up_to(3)] == [4, 6, 4, 0]
+    assert c.faces_up_to(2, cap=14)[1] == tuple(c.k_faces(1))
+    # every dimension fits under 7, but the total through dimension 2 does not
+    with pytest.raises(ResourceCapError) as err:
+        c.faces_up_to(2, cap=7)
+    assert err.value.partial_count > 7
 
 
 def test_component_count_unions_overlapping_facets():
@@ -278,8 +290,21 @@ def test_retract_of_empty_poset_is_empty():
 
 
 def test_retract_chain_cap():
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError) as err:
         lovasz_retract(closed_set_poset(complete_graph(8)), chain_cap=10)
+    assert err.value.partial_count == 10
+
+
+def test_retract_leaves_no_reference_cycles():
+    p = closed_set_poset(complete_graph(7))
+    gc.collect()
+    gc.disable()
+    try:
+        r = lovasz_retract(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(r.facets) == math.factorial(7)
 
 
 @settings(max_examples=25)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from nbcomplex import experiments
 from nbcomplex import (Caps, ExperimentConfig, FormatError, SurveySummary,
                        TrialRecord, aggregate, betti_sweep,
                        count_strict_local_maxima, read_records,
@@ -121,6 +123,38 @@ def test_survey_order_and_parallel_equivalence():
     assert serial == parallel
     assert [(r.p_index, r.trial_index) for r in serial] == \
         [(pi, t) for pi in range(2) for t in range(3)]
+
+
+def test_survey_clamps_the_worker_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, maps
+        serially, and starts no process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    cfg = tiny_config()  # six trials
+    serial = run_survey(cfg, jobs=1)
+    assert run_survey(cfg, jobs=1000) == serial
+    assert run_survey(cfg, jobs=3) == serial
+    assert run_survey(replace(cfg, trials=1, p_grid=(0.2,)), jobs=8) == \
+        serial[:1]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert run_survey(cfg, jobs=8) == serial
+    assert sizes == [4, 3]
 
 
 def test_survey_rejects_bad_job_count():

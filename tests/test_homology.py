@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -134,6 +134,12 @@ def test_boundary_composition_vanishes(g):
 def test_boundary_face_cap():
     with pytest.raises(ResourceCapError):
         boundary_matrices(neighborhood_complex(complete_graph(8)), face_cap=10)
+    # the cap bounds the total through max_dim+1, not each dimension:
+    # N[K_4] has 4 + 6 + 4 faces, none of its dimensions more than 6
+    c = neighborhood_complex(complete_graph(4))
+    assert boundary_matrices(c, face_cap=14).face_count(2) == 4
+    with pytest.raises(ResourceCapError):
+        boundary_matrices(c, face_cap=13)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +283,35 @@ def test_max_dim_truncation_flag():
     full, _ = graph_homology(complete_graph(6))
     assert not full.truncated
     assert full.betti[:3] == r.betti
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 7), p=st.floats(0.0, 1.0), seed=st.integers(0, 999),
+       max_dim=st.sampled_from((None, 0, 1, 2)))
+@example(n=4, p=0.5, seed=2, max_dim=0)
+def test_result_does_not_depend_on_the_route(n, p, seed, max_dim):
+    g = gnp_sample(n, p, seed)
+    routed, _ = graph_homology(g, max_dim=max_dim, with_field2=True)
+    direct, _ = graph_homology(g, max_dim=max_dim, with_field2=True,
+                               use_retract=False)
+    assert routed == direct
+    dim = neighborhood_complex(g).dimension
+    assert routed.truncated == (max_dim is not None and max_dim < dim)
+
+
+def test_route_race_enumerates_each_complex_once(monkeypatch):
+    seen = []
+    enumerate_faces = SimplicialComplex.faces_up_to
+
+    def counted(self, top, cap=None):
+        seen.append(self)
+        return enumerate_faces(self, top, cap)
+
+    monkeypatch.setattr(SimplicialComplex, "faces_up_to", counted)
+    for g in (complete_bipartite_graph(3, 4), complete_graph(6)):
+        seen.clear()
+        graph_homology(g)
+        assert len(seen) == 2 and seen[0] != seen[1]
 
 
 def test_face_cap_exhausts_every_route():
