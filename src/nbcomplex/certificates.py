@@ -79,15 +79,18 @@ def _require_maximal_clique(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
     return x
 
 
-def _search_obstruction(g: Graph, x: tuple[int, ...],
-                        index: int) -> Optional[ObstructionWitness]:
+def _search_obstruction(g: Graph, x: tuple[int, ...], index: int,
+                        exclude: frozenset = frozenset()
+                        ) -> Optional[ObstructionWitness]:
+    """First (u_star, v) obstruction in lexicographic order, with the
+    blocking vertex v drawn from outside ``exclude``."""
     rest = [u for i, u in enumerate(x) if i != index]
     xset = set(x)
     for u_star in range(g.n):
         if u_star in xset:
             continue
         needed = rest + [u_star]
-        cand = frozenset.intersection(*(g.adj[w] for w in needed))
+        cand = frozenset.intersection(*(g.adj[w] for w in needed)) - exclude
         if cand:
             return ObstructionWitness(u_star, min(cand), index)
     return None
@@ -178,22 +181,12 @@ def obstructed_clique_extension(g: Graph,
     one, None otherwise.  The witness is revalidated before being returned.
     """
     x = _require_maximal_clique(g, clique)
-    xset = set(x)
     partners = []
     for i in range(len(x)):
-        rest = [u for j, u in enumerate(x) if j != i]
-        found = None
-        for u_star in range(g.n):
-            if u_star in xset:
-                continue
-            cand = frozenset.intersection(
-                *(g.adj[w] for w in rest + [u_star])) - xset
-            if cand:
-                found = min(cand)
-                break
+        found = _search_obstruction(g, x, i, exclude=frozenset(x))
         if found is None:
             return None
-        partners.append(found)
+        partners.append(found.v)
     witness = SubgraphWitness("xn", (x, tuple(partners)))
     if not witness_is_valid(g, witness):
         raise RuntimeError(

@@ -212,6 +212,42 @@ def test_certificate_and_extension_never_coexist(g):
             assert witness_is_valid(g, ext)
 
 
+def brute_force_partners(g, x):
+    """Per index of the clique x, the v of the first (u*, v) pair in
+    lexicographic order with u* and v outside x, v adjacent to u* and to
+    every other clique member; None when some index has no such pair."""
+    partners = []
+    for i in range(len(x)):
+        rest = [u for j, u in enumerate(x) if j != i]
+        found = next((v for u_star in range(g.n) if u_star not in x
+                      for v in range(g.n) if v not in x
+                      and g.has_edge(v, u_star)
+                      and all(g.has_edge(v, u) for u in rest)), None)
+        if found is None:
+            return None
+        partners.append(found)
+    return tuple(partners)
+
+
+def test_extension_partners_match_a_brute_force_scan():
+    from nbcomplex import maximal_cliques
+    extended = 0
+    for n in range(2, 10):
+        for p in (0.3, 0.5, 0.7, 0.9):
+            for t in range(8):
+                g = gnp_sample(n, p, 7_000 + 100 * n + 10 * int(10 * p) + t)
+                for clique in maximal_cliques(g):
+                    if len(clique) < 2:
+                        continue
+                    x = tuple(sorted(clique))
+                    want = brute_force_partners(g, x)
+                    ext = obstructed_clique_extension(g, x)
+                    assert (None if ext is None else ext.parts) == \
+                        (None if want is None else (x, want))
+                    extended += want is not None
+    assert extended > 0  # the samples do reach the extension branch
+
+
 # ---------------------------------------------------------------------------
 # chromatic numbers
 

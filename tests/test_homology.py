@@ -78,6 +78,67 @@ def test_snf_matches_sympy_on_random_matrices(trial):
     assert factors == ref_factors
 
 
+def sympy_invariants(rows, ncols):
+    """(rank, invariant factors) of a dense matrix, computed by sympy."""
+    if not rows or not ncols:
+        return 0, ()
+    ref = sympy_snf(Matrix(rows), domain=ZZ)
+    factors = tuple(abs(ref[i, i]) for i in range(min(len(rows), ncols))
+                    if ref[i, i] != 0)
+    return len(factors), factors
+
+
+# zero for sparsity; among the nonzeros mostly units, so the unit phase
+# pivots, and sometimes 2 or 3, so that columns reach the residue phase
+sparse_entries = st.sampled_from((0,) * 6 + (1, -1) * 4 + (2, -2, 3, -3))
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    nr = draw(st.integers(0, 10))
+    nc = draw(st.integers(0, 10))
+    row = st.lists(sparse_entries, min_size=nc, max_size=nc)
+    return draw(st.lists(row, min_size=nr, max_size=nr)), nc
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+def test_snf_matches_sympy_on_sparse_unit_heavy_matrices(drawn):
+    rows, nc = drawn
+    assert smith_normal_form(sparse(rows)) == sympy_invariants(rows, nc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_int_matrices(), st.randoms(use_true_random=False))
+def test_snf_is_invariant_under_row_and_column_permutations(drawn, rnd):
+    rows, nc = drawn
+    row_order = list(range(len(rows)))
+    col_order = list(range(nc))
+    rnd.shuffle(row_order)
+    rnd.shuffle(col_order)
+    permuted = [[rows[i][j] for j in col_order] for i in row_order]
+    assert smith_normal_form(sparse(permuted)) == \
+        smith_normal_form(sparse(rows))
+
+
+def test_snf_reaches_the_residue_phase():
+    # either unit pivot of [[1, 1], [1, -1]] leaves the Schur complement
+    # [-2], which has no unit entry, so the general reduction takes it
+    assert smith_normal_form(sparse([[1, 1], [1, -1]])) == (2, (1, 2))
+    diag = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 6, 0], [0, 0, 0, 10]]
+    assert smith_normal_form(sparse(diag)) == (4, (1, 1, 2, 30))
+
+
+@pytest.mark.parametrize("n, facets", [(6, RP2_FACETS), (7, TORUS_FACETS)],
+                         ids=["rp2", "torus"])
+def test_snf_matches_sympy_on_surface_boundaries(n, facets):
+    d = boundary_matrices(SimplicialComplex.from_faces(n, facets))
+    for b in d.boundaries:
+        rows = [[b.cols[j].get(i, 0) for j in range(b.ncols)]
+                for i in range(b.nrows)]
+        assert smith_normal_form(b) == sympy_invariants(rows, b.ncols)
+
+
 # ---------------------------------------------------------------------------
 # GF(2) rank
 
