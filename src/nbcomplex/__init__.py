@@ -1,14 +1,16 @@
 """Neighborhood complexes of finite graphs.
 
-Construction and homology of the complex of commonly-dominated vertex
-sets, the closed-set retract that keeps those computations small, sphere
+Construction of the complex of commonly-dominated vertex sets, its
+homology computed on its strong core (dominated vertices deleted, which
+keeps the homotopy type and shrinks the chain complex), the closed-set
+poset and its order complex as an independent cross-check, sphere
 certificates extracted from maximal cliques, chromatic lower bounds,
 first-moment bounds with asymptotic windows, and seeded random-graph
 surveys that reproduce byte for byte.
 """
 
 from .errors import FormatError, ParseError, ResourceCapError
-from .graphs import (Graph, GnpParams, SubgraphWitness, clique_number,
+from .graphs import (Graph, SubgraphWitness, clique_number,
                      complete_bipartite_graph, complete_graph,
                      contains_complete_bipartite, contains_xn, cycle_graph,
                      density, derive_trial_seed, from_family_spec,
@@ -21,7 +23,8 @@ from .complexes import (ClosedSetPoset, SimplicialComplex, closed_set_poset,
                         lovasz_retract, neighborhood_complex, neighborliness,
                         parse_facet_list)
 from .homology import (AtLeast, ChainComplexData, HomologyResult,
-                       betti_field2, boundary_matrices, euler_characteristic,
+                       betti_field2, boundary_matrices,
+                       core_boundary_matrices, euler_characteristic,
                        graph_homology, homological_connectivity,
                        homology_integer, smith_normal_form)
 from .certificates import (BoundComparison, ObstructionWitness,

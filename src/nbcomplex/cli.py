@@ -8,6 +8,7 @@ trouble.  All subcommand output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from .experiments import (ExperimentConfig, aggregate, betti_sweep,
                           records_to_csv, records_to_jsonl, run_survey)
 from .graphs import (density, from_family_spec, gnp_sample, parse_edge_list,
                      serialize_edge_list)
-from .homology import (AtLeast, betti_field2, boundary_matrices,
+from .homology import (AtLeast, betti_field2, core_boundary_matrices,
                        graph_homology, homology_integer)
 
 _FEATURES = ("homology", "neighborliness", "certificates", "cliques")
@@ -121,7 +122,7 @@ def _cmd_homology(args) -> int:
             with open(args.facets, encoding="utf-8") as fh:
                 comp = parse_facet_list(fh.read())
             source = "facets"
-        data = boundary_matrices(comp, max_dim=args.max_dim)
+        data = core_boundary_matrices(comp, max_dim=args.max_dim)
         if args.coeff == "f2":
             out = {"betti": None, "torsion": None,
                    "field2": list(betti_field2(data)),
@@ -396,8 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceCapError as err:

@@ -1,13 +1,15 @@
-"""Neighborhood complexes, the common-neighbor closure, and the poset
-retract used to shrink homology computations.
+"""Neighborhood complexes, their strong cores, the common-neighbor closure,
+and the closed-set poset with its order complex.
 
 The complex N[G] has a face for every vertex subset with a common neighbor,
-so its facets are exactly the inclusion-maximal neighborhoods.  Closing the
-nonempty neighborhoods under intersection yields the poset of closed sets;
-its order complex (vertices are closed sets, faces are chains) is a
-deformation retract of N[G].  It is smaller for some graphs (complete
-bipartite ones, for instance) and far larger for others (complete graphs,
-where it is the barycentric subdivision).  The face poset itself is never
+so its facets are exactly the inclusion-maximal neighborhoods.
+``SimplicialComplex.strong_core`` deletes dominated vertices one at a time;
+that keeps the homotopy type, so homology is computed on the core, which
+is never larger and usually much smaller.  Closing the nonempty
+neighborhoods under intersection yields the poset of closed sets; its order
+complex (vertices are closed sets, faces are chains) is a deformation
+retract of N[G], built by the ``retract`` command and kept as an
+independent cross-check of the homology.  The face poset itself is never
 materialized.
 """
 
@@ -107,6 +109,44 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_dim); empty tuple for the empty complex."""
         return tuple(len(layer) for layer in self.faces_up_to(self.dimension))
+
+    def strong_core(self) -> "SimplicialComplex":
+        """The complex left once no vertex is dominated.
+
+        A vertex v is dominated when every facet holding v also holds some
+        other vertex w.  Deleting v (each facet F holding v becomes F - {v},
+        and only the inclusion-maximal facets are kept) is a strong
+        collapse, which keeps the homotopy type and so the integer homology,
+        torsion included (Barmak-Minian, "Strong homotopy types, nerves and
+        collapses", 2012).  Vertices are scanned in ascending label order,
+        pass after pass, until a pass deletes nothing, so the result is
+        deterministic.  Labels and ``ground_set`` are kept; the core of a
+        nonempty complex is nonempty, because a deleted vertex always
+        leaves its dominating vertex behind.
+        """
+        facets = [sum(1 << v for v in f) for f in self.facets]
+        deleted = False
+        changed = True
+        while changed:
+            changed = False
+            for v in range(self.ground_set):
+                bit = 1 << v
+                meet = -1
+                for f in facets:
+                    if f & bit:
+                        meet &= f
+                if meet == -1 or meet == bit:
+                    continue  # v is absent, or no other vertex dominates it
+                rest = [f for f in facets if not f & bit]
+                shrunk = [f ^ bit for f in facets if f & bit]
+                facets = rest + [s for s in shrunk
+                                 if not any(s & r == s for r in rest)]
+                changed = deleted = True
+        if not deleted:
+            return self
+        return SimplicialComplex(self.ground_set, tuple(sorted(
+            tuple(v for v in range(self.ground_set) if f >> v & 1)
+            for f in facets)))
 
     def component_count(self) -> int:
         """Connected components of the underlying 1-skeleton."""

@@ -20,7 +20,7 @@ from multiprocessing import Pool
 from typing import Optional, Sequence, Union
 
 from .certificates import find_sphere_certificates
-from .complexes import closed_set_poset, lovasz_retract, neighborhood_complex
+from .complexes import closed_set_poset, neighborhood_complex
 from .errors import FormatError, ResourceCapError
 from .graphs import clique_number, derive_trial_seed, gnp_sample
 from .complexes import neighborliness
@@ -33,9 +33,12 @@ log = logging.getLogger(__name__)
 class Caps:
     """Work caps threaded through survey trials.
 
-    ``faces_per_dim`` caps the total face count of a homology route over
-    dimensions 0..max_dim+1, not each dimension on its own; the name is
-    kept because it appears in every summary's config echo.
+    ``faces_per_dim`` caps the total face count of the neighborhood
+    complex's strong core over dimensions 0..max_dim+1, not each dimension
+    on its own; the name is kept because it appears in every summary's
+    config echo.  ``poset_vertices`` and ``poset_elements`` cap the
+    closed-set poset behind the ``closed_sets`` and ``retract_dim`` record
+    fields.  ``retract_chains`` feeds nothing and stays only for that echo.
     """
 
     clique_vertices: int = 64
@@ -159,7 +162,6 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
 
     closed_count: Optional[int] = None
     retract_dim: Optional[int] = None
-    poset = None
     if cfg.homology:
         try:
             poset = closed_set_poset(g, vertex_cap=caps.poset_vertices,
@@ -174,13 +176,8 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     source: Optional[str] = None
     if cfg.homology:
         try:
-            result, source = graph_homology(
-                g, max_dim=cfg.max_dim,
-                vertex_cap=caps.poset_vertices,
-                element_cap=caps.poset_elements,
-                chain_cap=caps.retract_chains,
-                face_cap=caps.faces_per_dim,
-                poset=poset, use_retract=poset is not None)
+            result, source = graph_homology(g, max_dim=cfg.max_dim,
+                                            face_cap=caps.faces_per_dim)
             betti = result.betti
             torsion_seen = any(t for t in result.torsion)
             if torsion_seen:

@@ -240,24 +240,6 @@ def from_family_spec(spec: str) -> Graph:
 # seeded G(n, p)
 
 
-@dataclass(frozen=True)
-class GnpParams:
-    """Parameters of one G(n, p) draw."""
-
-    n: int
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"edge probability out of range: {self.p}")
-
-    def sample(self) -> Graph:
-        return gnp_sample(self.n, self.p, self.seed)
-
-
 def gnp_sample(n: int, p: float, seed: int) -> Graph:
     """Sample G(n, p) deterministically.
 
@@ -266,7 +248,10 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     in lexicographic order.  The same arguments always give the same graph,
     independent of call order or platform.
     """
-    GnpParams(n, p, seed)  # validate
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability out of range: {p}")
     threshold = unit_threshold(p)
     edges = []
     for t, (u, v) in enumerate(combinations(range(n), 2)):

@@ -14,12 +14,11 @@ general smallest-entry reduction and its divisibility pass.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import NamedTuple, Optional, Union
 
-from .complexes import SimplicialComplex
-from .errors import ResourceCapError
+from .complexes import SimplicialComplex, neighborhood_complex
 
 
 @dataclass(frozen=True)
@@ -258,6 +257,21 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
     return ChainComplexData(max_dim, dim, faces, tuple(boundaries))
 
 
+def core_boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
+                           face_cap: int = 500_000) -> ChainComplexData:
+    """Boundary maps of ``c.strong_core()``, standing in for those of c.
+
+    The core has the homotopy type of c, so its homology is c's.  Dimensions
+    0..max_dim are covered (all of c's when max_dim is None), those above
+    the core's dimension with empty layers, and ``complex_dim`` is c's
+    own, so ``truncated`` means max_dim < dim c.  ``face_cap`` counts the
+    core's faces.
+    """
+    top = max(c.dimension, 0) if max_dim is None else max_dim
+    data = boundary_matrices(c.strong_core(), max_dim=top, face_cap=face_cap)
+    return replace(data, complex_dim=c.dimension)
+
+
 def boundary_composition_is_zero(d: ChainComplexData) -> bool:
     """Check d(k-1) after d(k) vanishes for every k (chain complex law)."""
     for k in range(1, d.max_dim + 2):
@@ -365,61 +379,15 @@ def homological_connectivity(h: HomologyResult) -> Connectivity:
 
 
 def graph_homology(g, max_dim: Optional[int] = None, with_field2: bool = False,
-                   vertex_cap: int = 16, element_cap: int = 20_000,
-                   chain_cap: int = 500_000, face_cap: int = 500_000,
-                   poset=None,
-                   use_retract: bool = True) -> tuple[HomologyResult, str]:
-    """Homology of a graph's neighborhood complex, route chosen by size.
+                   face_cap: int = 500_000) -> tuple[HomologyResult, str]:
+    """Homology of a graph's neighborhood complex, through its strong core.
 
-    Builds the chain data of the neighborhood complex itself first, then
-    that of the closed-set retract (when its caps allow) with the face cap
-    lowered to the direct complex's face total, so a retract that would
-    lose stops as soon as it does.  The retract runs when its total is no
-    larger.  Both totals count faces through dimension max_dim+1 and are
-    capped by ``face_cap``.  Returns the result and which route ran
-    ("retract" or "direct").  Both routes compute the same groups; with
-    max_dim=None the answer always covers every dimension of the
-    neighborhood complex, and ``truncated`` says whether max_dim lies below
-    that dimension, whichever route ran.
-
-    A caller that already holds the graph's closed-set poset can pass it as
-    ``poset``; ``use_retract=False`` skips the retract route entirely.
+    N[G] is reduced to ``strong_core()`` before any chain is built, and
+    ``face_cap`` caps the core's faces through dimension max_dim+1.  With
+    max_dim=None the answer covers every dimension of N[G]; ``truncated``
+    says whether max_dim lies below that dimension.  Returns the result and
+    the route, which is always "direct" (the complex itself, not the
+    closed-set retract).
     """
-    from .complexes import closed_set_poset, lovasz_retract, neighborhood_complex
-
-    def chain_data(comp: SimplicialComplex, cap: int) -> ChainComplexData:
-        top = comp.dimension if max_dim is None else min(max_dim, comp.dimension)
-        return boundary_matrices(comp, max_dim=max(top, 0), face_cap=cap)
-
-    nc = neighborhood_complex(g)
-    data: Optional[ChainComplexData] = None
-    source = "direct"
-    try:
-        data = chain_data(nc, face_cap)
-    except ResourceCapError:
-        pass
-    if use_retract:
-        # the direct total is within face_cap, so it is the tighter cap
-        cap = face_cap if data is None else sum(
-            len(layer) for layer in data.faces)
-        try:
-            if poset is None:
-                poset = closed_set_poset(g, vertex_cap=vertex_cap,
-                                         element_cap=element_cap)
-            data = chain_data(lovasz_retract(poset, chain_cap=chain_cap), cap)
-            source = "retract"
-        except ResourceCapError:
-            pass
-    if data is None:
-        raise ResourceCapError(
-            f"every homology route exceeds the face cap {face_cap}")
-
-    h = homology_integer(data, with_field2=with_field2)
-    top = max(nc.dimension, 0) if max_dim is None else max_dim
-    extra = top + 1 - len(h.betti)
-    return HomologyResult(
-        h.betti + (0,) * extra,
-        h.torsion + ((),) * extra,
-        h.field2 + (0,) * extra if h.field2 is not None else None,
-        max_dim is not None and max_dim < nc.dimension,
-        h.empty), source
+    data = core_boundary_matrices(neighborhood_complex(g), max_dim, face_cap)
+    return homology_integer(data, with_field2=with_field2), "direct"

@@ -9,6 +9,7 @@ import pytest
 from nbcomplex import (ExperimentConfig, complete_graph, gnp_sample,
                        parse_edge_list, parse_facet_list, records_from_csv,
                        records_from_jsonl, run_survey)
+from nbcomplex import cli
 from nbcomplex.cli import main
 
 
@@ -77,7 +78,7 @@ def test_homology_of_a_complete_graph(capsys):
     payload = json.loads(out)
     assert payload["betti"] == [0, 0, 1]
     assert payload["torsion"] == [[], [], []]
-    assert payload["source"] in ("direct", "retract")
+    assert payload["source"] == "direct"
 
 
 def test_homology_gf2_only(capsys):
@@ -123,6 +124,44 @@ def test_homology_max_dim_truncates(capsys):
     payload = json.loads(out)
     assert payload["betti"] == [0, 0]
     assert payload["truncated"] is True
+
+
+# a cone over a pentagon: contractible, and its strong core is one point
+CONE_FACETS = "dim 2\n0 1 2\n0 2 3\n0 3 4\n0 4 5\n0 1 5\n"
+
+
+@pytest.mark.parametrize("coeff", ["z", "f2", "both"])
+def test_homology_of_facets_whose_core_is_a_point(tmp_path, capsys, coeff):
+    fpath = tmp_path / "cone.txt"
+    fpath.write_text(CONE_FACETS)
+    code, out, _ = run_cli(capsys, "homology", "--facets", str(fpath),
+                           "--max-dim", "1", "--coeff", coeff)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["source"] == "facets"
+    # truncated against the input's dimension 2, not the core's 0
+    assert payload["truncated"] is True
+    if coeff != "f2":
+        assert payload["betti"] == [0, 0]
+        assert payload["torsion"] == [[], []]
+    if coeff != "z":
+        assert payload["field2"] == [0, 0]
+    code, out, _ = run_cli(capsys, "homology", "--facets", str(fpath),
+                           "--coeff", coeff)
+    payload = json.loads(out)
+    assert payload["truncated"] is False
+    assert len(payload["field2" if coeff == "f2" else "betti"]) == 3
+
+
+def test_homology_gf2_only_on_a_graph_reports_its_width(capsys):
+    # N[K_{3,4}] has dimension 3 but its core is two points
+    code, out, _ = run_cli(capsys, "homology", "--family",
+                           "complete_bipartite:3,4", "--coeff", "f2")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload == {"betti": None, "torsion": None,
+                       "field2": [1, 0, 0, 0], "truncated": False,
+                       "source": "direct"}
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +371,32 @@ def test_missing_input_file_exits_three(capsys):
 def test_resource_cap_exits_two(capsys):
     code, _, err = run_cli(capsys, "retract", "--family", "complete:20")
     assert code == 2 and "cap" in err
+
+
+def test_parser_built_once_gives_fresh_parser_results(capsys):
+    calls = (["no-such-command"],
+             ["homology", "--family", "cycle:5", "--coeff", "both"],
+             ["gen", "--gnp", "8", "0.5", "3"])
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0]
+    assert json.loads(reused[1][1])["betti"] == [0, 1]
+    assert parse_edge_list(reused[2][1]) == gnp_sample(8, 0.5, 3)
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,4 +1,5 @@
-"""Neighborhood complexes, the common-neighbor operator, and the retract."""
+"""Neighborhood complexes, the common-neighbor operator, the strong core,
+and the retract."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from nbcomplex import (Graph, ParseError, ResourceCapError, SimplicialComplex,
                        closed_set_poset, closure, common_neighbors,
-                       complete_graph, cycle_graph, facet_list_text,
-                       gnp_sample, lovasz_retract, neighborhood_complex,
-                       neighborliness, parse_facet_list, path_graph)
+                       complete_bipartite_graph, complete_graph, cycle_graph,
+                       facet_list_text, gnp_sample, lovasz_retract,
+                       neighborhood_complex, neighborliness, parse_facet_list,
+                       path_graph)
 
 from test_graphs import small_graphs
 
@@ -260,6 +262,64 @@ def test_poset_json_shape():
     assert set(d) == {"elements", "covers", "height"}
     assert d["height"] == 1
     assert [0, 1] in d["elements"]
+
+
+# ---------------------------------------------------------------------------
+# the strong core
+
+
+def test_core_of_complete_bipartite_complex_is_two_points():
+    c = neighborhood_complex(complete_bipartite_graph(3, 4))
+    assert c.facets == ((0, 1, 2), (3, 4, 5, 6))
+    core = c.strong_core()
+    assert core.facets == ((2,), (6,))
+    assert core.ground_set == 7
+
+
+def test_cone_collapses_to_its_apex():
+    pentagon = [(i, i % 5 + 1) for i in range(1, 6)]
+    cone = SimplicialComplex.from_faces(6, [(0,) + e for e in pentagon])
+    assert cone.strong_core().facets == ((0,),)
+    # with the apex as the largest label the core is still the apex alone
+    late = SimplicialComplex.from_faces(6, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
+    assert late.strong_core().facets == ((5,),)
+
+
+def test_core_keeps_undominated_complexes_and_the_empty_one():
+    k5 = neighborhood_complex(complete_graph(5))
+    assert k5.strong_core() is k5
+    empty = SimplicialComplex.from_faces(4, [])
+    assert empty.strong_core() == empty
+    points = SimplicialComplex.from_faces(3, [(0,), (2,)])
+    assert points.strong_core() == points
+
+
+facet_lists = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
+                       max_size=8)
+
+
+@settings(max_examples=80)
+@given(facet_lists)
+def test_strong_core_is_an_idempotent_full_subcomplex(facets):
+    c = SimplicialComplex.from_faces(8, facets)
+    core = c.strong_core()
+    assert core.strong_core() == core
+    assert core.ground_set == c.ground_set
+    assert bool(core.facets) == bool(c.facets)
+    assert all(c.is_face(f) for f in core.facets)
+    # full: every face of c on the surviving vertices is a face of the core
+    kept = set(core.vertices())
+    for f in c.facets:
+        shared = set(f) & kept
+        assert not shared or core.is_face(shared)
+    assert core == SimplicialComplex.from_faces(8, core.facets)
+
+
+@settings(max_examples=40)
+@given(small_graphs(8))
+def test_strong_core_of_graph_complexes_is_idempotent(g):
+    core = neighborhood_complex(g).strong_core()
+    assert core.strong_core() == core
 
 
 # ---------------------------------------------------------------------------

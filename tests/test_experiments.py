@@ -85,7 +85,7 @@ def test_run_trial_populates_requested_features():
     assert r.neighborliness is not None
     assert r.betti is not None
     assert r.certificates is not None
-    assert r.homology_source in ("retract", "direct")
+    assert r.homology_source == "direct"
     assert r.errors == ()
 
 
@@ -101,8 +101,8 @@ def test_run_trial_with_homology_off_leaves_fields_none():
 
 def test_run_trial_records_cap_hits_as_errors():
     # caps small enough to fail mid-run but large enough to pass config
-    # validation: the poset overflows its element budget and every homology
-    # route overflows the face budget
+    # validation: the poset overflows its element budget and the strong
+    # core's faces overflow the face budget
     caps = Caps(poset_elements=2, retract_chains=2, faces_per_dim=2)
     cfg = tiny_config(p_grid=(0.9,), caps=caps)
     r = run_trial(cfg, 0, 0)

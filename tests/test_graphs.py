@@ -166,6 +166,14 @@ def test_gnp_rejects_bad_probability():
         gnp_sample(5, 1.5, 0)
 
 
+def test_gnp_rejects_bad_parameters_with_their_messages():
+    with pytest.raises(ValueError, match="edge probability out of range: 1.5"):
+        gnp_sample(5, 1.5, 0)
+    with pytest.raises(ValueError,
+                       match="vertex count must be nonnegative, got -1"):
+        gnp_sample(-1, 0.5, 0)
+
+
 def test_trial_seed_is_order_sensitive():
     assert derive_trial_seed(1, 2, 3) != derive_trial_seed(1, 3, 2)
     assert derive_trial_seed(0, 0, 1) != derive_trial_seed(0, 1, 0)

@@ -1,4 +1,4 @@
-"""Integer and GF(2) homology: normal forms, boundary maps, route choice."""
+"""Integer and GF(2) homology: normal forms, boundary maps, the core route."""
 
 from __future__ import annotations
 
@@ -11,13 +11,16 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from nbcomplex import (AtLeast, Graph, ResourceCapError, SimplicialComplex,
                        boundary_matrices, closed_set_poset,
-                       complete_bipartite_graph, complete_graph, cycle_graph,
+                       complete_bipartite_graph, complete_graph,
+                       core_boundary_matrices, cycle_graph,
                        euler_characteristic, gnp_sample, graph_homology,
                        homological_connectivity, homology_integer,
-                       neighborhood_complex, smith_normal_form)
+                       lovasz_retract, neighborhood_complex,
+                       smith_normal_form)
 from nbcomplex.homology import (SparseIntMatrix, boundary_composition_is_zero,
                                 gf2_rank)
 
+from test_complexes import facet_lists
 from test_graphs import small_graphs
 
 
@@ -294,47 +297,47 @@ def test_empty_complex_connectivity():
 
 
 # ---------------------------------------------------------------------------
-# route selection
+# the strong-core route
 
 
-def test_bipartite_graph_takes_the_retract_route():
-    # N[K_{3,4}] has large facets; the closed-set order complex is smaller
+def padded(r, width):
+    """(betti, torsion, field2) of a result, zero-padded to ``width``."""
+    extra = width - len(r.betti)
+    return (r.betti + (0,) * extra, r.torsion + ((),) * extra,
+            r.field2 + (0,) * extra if r.field2 is not None else None)
+
+
+def test_bipartite_graph_collapses_to_its_core():
+    # N[K_{3,4}] is a 2-simplex beside a 3-simplex; its core is two points
     r, source = graph_homology(complete_bipartite_graph(3, 4))
-    assert source == "retract"
+    assert source == "direct"
     assert r.betti == (1, 0, 0, 0)
+    assert r.torsion == ((), (), (), ())
+    assert not r.truncated and not r.empty
 
 
 def test_complete_graph_takes_the_direct_route():
-    # here the retract subdivides and balloons; the complex itself is smaller
+    # N[K_6] is the boundary of a 5-simplex: no vertex is dominated
     r, source = graph_homology(complete_graph(6))
     assert source == "direct"
     assert r.betti == (0, 0, 0, 0, 1)
 
 
-def test_use_retract_false_forces_direct():
-    r, source = graph_homology(complete_bipartite_graph(3, 4),
-                               use_retract=False)
-    assert source == "direct"
-    assert r.betti == (1, 0, 0, 0)
-
-
-def test_caller_supplied_poset_is_reused():
-    g = complete_bipartite_graph(3, 4)
-    p = closed_set_poset(g)
-    r1, s1 = graph_homology(g, poset=p)
-    r2, s2 = graph_homology(g)
-    assert (r1, s1) == (r2, s2)
-
-
 def test_retract_route_agrees_with_direct_on_samples():
+    # graph_homology against both independent pipelines: the unfolded
+    # neighborhood complex and the order complex of the closed-set poset
     for seed in range(6):
         g = gnp_sample(8, 0.45, 2200 + seed)
-        a, _ = graph_homology(g, use_retract=False, with_field2=True)
-        p = closed_set_poset(g)
-        b, _ = graph_homology(g, poset=p, with_field2=True)
-        assert a.betti == b.betti
-        assert a.torsion == b.torsion
-        assert a.field2 == b.field2
+        got, source = graph_homology(g, with_field2=True)
+        assert source == "direct"
+        direct = homology_integer(
+            boundary_matrices(neighborhood_complex(g)), with_field2=True)
+        retract = homology_integer(
+            boundary_matrices(lovasz_retract(closed_set_poset(g))),
+            with_field2=True)
+        width = max(len(got.betti), len(retract.betti))
+        assert padded(got, width) == padded(direct, width)
+        assert padded(got, width) == padded(retract, width)
 
 
 def test_max_dim_truncation_flag():
@@ -351,16 +354,18 @@ def test_max_dim_truncation_flag():
        max_dim=st.sampled_from((None, 0, 1, 2)))
 @example(n=4, p=0.5, seed=2, max_dim=0)
 def test_result_does_not_depend_on_the_route(n, p, seed, max_dim):
+    # the core route equals the unfolded complex's, padding and flags too
     g = gnp_sample(n, p, seed)
     routed, _ = graph_homology(g, max_dim=max_dim, with_field2=True)
-    direct, _ = graph_homology(g, max_dim=max_dim, with_field2=True,
-                               use_retract=False)
+    nc = neighborhood_complex(g)
+    direct = homology_integer(boundary_matrices(nc, max_dim=max_dim),
+                              with_field2=True)
     assert routed == direct
-    dim = neighborhood_complex(g).dimension
+    dim = nc.dimension
     assert routed.truncated == (max_dim is not None and max_dim < dim)
 
 
-def test_route_race_enumerates_each_complex_once(monkeypatch):
+def test_graph_homology_enumerates_faces_once_on_the_core(monkeypatch):
     seen = []
     enumerate_faces = SimplicialComplex.faces_up_to
 
@@ -369,15 +374,78 @@ def test_route_race_enumerates_each_complex_once(monkeypatch):
         return enumerate_faces(self, top, cap)
 
     monkeypatch.setattr(SimplicialComplex, "faces_up_to", counted)
-    for g in (complete_bipartite_graph(3, 4), complete_graph(6)):
+    for g in (complete_bipartite_graph(3, 4), complete_graph(6),
+              gnp_sample(9, 0.5, 4)):
         seen.clear()
         graph_homology(g)
-        assert len(seen) == 2 and seen[0] != seen[1]
+        assert seen == [neighborhood_complex(g).strong_core()]
 
 
 def test_face_cap_exhausts_every_route():
+    # N[K_10] has no dominated vertex, so its core is all 1,022 faces
     with pytest.raises(ResourceCapError):
-        graph_homology(complete_graph(10), face_cap=20, vertex_cap=10)
+        graph_homology(complete_graph(10), face_cap=20)
+
+
+def test_face_cap_counts_the_core_faces():
+    # N[K_{3,4}] has 22 faces; its core has 2
+    g = complete_bipartite_graph(3, 4)
+    r, _ = graph_homology(g, face_cap=2)
+    assert r.betti == (1, 0, 0, 0)
+    with pytest.raises(ResourceCapError):
+        graph_homology(g, face_cap=1)
+    with pytest.raises(ResourceCapError):
+        boundary_matrices(neighborhood_complex(g), face_cap=21)
+
+
+def assert_core_keeps_homology(c):
+    full = homology_integer(boundary_matrices(c), with_field2=True)
+    core = homology_integer(boundary_matrices(c.strong_core()),
+                            with_field2=True)
+    width = max(len(full.betti), len(core.betti))
+    assert padded(full, width) == padded(core, width)
+    assert full.empty == core.empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists)
+def test_strong_core_keeps_homology_of_facet_lists(facets):
+    assert_core_keeps_homology(SimplicialComplex.from_faces(8, facets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
+def test_strong_core_keeps_homology_of_random_graphs(n, p, seed):
+    assert_core_keeps_homology(neighborhood_complex(gnp_sample(n, p, seed)))
+
+
+@pytest.mark.parametrize("facets, n, torsion", [
+    (RP2_FACETS, 6, ((), (2,), ())),
+    (TORUS_FACETS, 7, ((), (), ())),
+], ids=["rp2", "torus"])
+def test_surfaces_have_no_dominated_vertex_and_keep_torsion(facets, n,
+                                                             torsion):
+    c = SimplicialComplex.from_faces(n, facets)
+    assert c.strong_core() == c
+    r = homology_integer(core_boundary_matrices(c), with_field2=True)
+    assert r.torsion == torsion
+    assert r.field2 == ((0, 1, 1) if torsion[1] else (0, 2, 1))
+
+
+def test_core_boundary_matrices_keep_the_input_width_and_flags():
+    # a cone over RP^2 is contractible: its core is a point, its torsion gone
+    cone = SimplicialComplex.from_faces(7, [f + (6,) for f in RP2_FACETS])
+    d = core_boundary_matrices(cone, max_dim=1)
+    assert d.truncated and d.complex_dim == 3
+    assert d.faces[0] == ((6,),)
+    r = homology_integer(d)
+    assert r.betti == (0, 0) and r.torsion == ((), ())
+    full = homology_integer(core_boundary_matrices(cone), with_field2=True)
+    assert full.betti == (0, 0, 0, 0) and full.field2 == (0, 0, 0, 0)
+    assert not full.truncated
+    empty = homology_integer(core_boundary_matrices(
+        SimplicialComplex.from_faces(3, [])))
+    assert empty.empty and empty.betti == (0,)
 
 
 def test_result_json_shape():
