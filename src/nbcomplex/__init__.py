@@ -19,9 +19,9 @@ from .graphs import (Graph, SubgraphWitness, clique_number,
                      path_graph, serialize_edge_list, witness_is_valid,
                      xn_graph)
 from .complexes import (ClosedSetPoset, SimplicialComplex, closed_set_poset,
-                        closure, common_neighbors, facet_list_text,
-                        lovasz_retract, neighborhood_complex, neighborliness,
-                        parse_facet_list)
+                        closed_set_stats, closure, common_neighbors,
+                        facet_list_text, lovasz_retract, neighborhood_complex,
+                        neighborliness, parse_facet_list)
 from .homology import (AtLeast, ChainComplexData, HomologyResult,
                        betti_field2, boundary_matrices,
                        core_boundary_matrices, euler_characteristic,

@@ -9,8 +9,9 @@ is never larger and usually much smaller.  Closing the nonempty
 neighborhoods under intersection yields the poset of closed sets; its order
 complex (vertices are closed sets, faces are chains) is a deformation
 retract of N[G], built by the ``retract`` command and kept as an
-independent cross-check of the homology.  The face poset itself is never
-materialized.
+independent cross-check of the homology.  Survey records need only the
+poset's size and height, which ``closed_set_stats`` computes on bitmasks
+without building the poset.  The face poset itself is never materialized.
 """
 
 from __future__ import annotations
@@ -358,6 +359,54 @@ def closed_set_poset(g: Graph, vertex_cap: int = 16,
     height = max(heights, default=0) if m else -1
 
     return ClosedSetPoset(elements, tuple(covers), height)
+
+
+def closed_set_stats(g: Graph, vertex_cap: int = 16,
+                     element_cap: int = 20_000) -> tuple[int, int]:
+    """``(len(P.elements), P.height)`` for ``P = closed_set_poset(g)``,
+    ``(0, -1)`` for an edgeless graph, without building ``P``.
+
+    Sets are int bitmasks.  The family is closed under intersection one
+    neighborhood at a time: once a family F is closed, adding N(v) adds
+    N(v) and every nonempty N(v) & f for f in F.  The height is the longest
+    chain, found by a DP over strict subsets in popcount order that looks
+    only at the subsets t & N(v) of each element t, so no cover relation
+    is needed.  The caps raise with ``closed_set_poset``'s messages on
+    exactly the same graphs: that function counts against the element cap
+    only once its closure adds a set that is no neighborhood, so the check
+    here does too.
+    """
+    if g.n > vertex_cap:
+        raise ResourceCapError(
+            f"closed-set construction capped at {vertex_cap} vertices "
+            f"(got {g.n}); raise vertex_cap to override")
+    masks = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    neighborhoods = set(masks)
+    neighborhoods.discard(0)
+    family: set[int] = set()
+    for a in masks:
+        if not a or a in family:
+            continue
+        family |= {a & f for f in family}
+        family.discard(0)
+        family.add(a)
+        size = len(family) + len(neighborhoods - family)
+        if size > element_cap and not family <= neighborhoods:
+            raise ResourceCapError(
+                f"closed-set family exceeded element cap {element_cap}",
+                partial_count=size)
+
+    # Longest chain ending at t, over t's strict subsets in the family.  A
+    # strict subset s is an intersection of neighborhoods, one of which,
+    # N(v), misses part of t; so s lies inside t & N(v), itself a strict
+    # subset in the family, and heights grow along inclusion.  Taking the
+    # maximum over the candidates t & N(v) is therefore enough, and they
+    # all come before t in popcount order.
+    heights: dict[int, int] = {}
+    for t in sorted(family, key=int.bit_count):
+        heights[t] = 1 + max((heights[t & a] for a in neighborhoods
+                              if t & a and t & a != t), default=-1)
+    return len(family), max(heights.values(), default=-1)
 
 
 def lovasz_retract(p: ClosedSetPoset,

@@ -20,10 +20,9 @@ from multiprocessing import Pool
 from typing import Optional, Sequence, Union
 
 from .certificates import find_sphere_certificates
-from .complexes import closed_set_poset, neighborhood_complex
+from .complexes import closed_set_stats, neighborhood_complex, neighborliness
 from .errors import FormatError, ResourceCapError
 from .graphs import clique_number, derive_trial_seed, gnp_sample
-from .complexes import neighborliness
 from .homology import graph_homology
 
 log = logging.getLogger(__name__)
@@ -36,9 +35,10 @@ class Caps:
     ``faces_per_dim`` caps the total face count of the neighborhood
     complex's strong core over dimensions 0..max_dim+1, not each dimension
     on its own; the name is kept because it appears in every summary's
-    config echo.  ``poset_vertices`` and ``poset_elements`` cap the
-    closed-set poset behind the ``closed_sets`` and ``retract_dim`` record
-    fields.  ``retract_chains`` feeds nothing and stays only for that echo.
+    config echo.  ``poset_vertices`` and ``poset_elements`` cap
+    ``closed_set_stats``, which gives the ``closed_sets`` and
+    ``retract_dim`` record fields.  ``retract_chains`` feeds nothing and
+    stays only for that echo.
     """
 
     clique_vertices: int = 64
@@ -164,11 +164,11 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     retract_dim: Optional[int] = None
     if cfg.homology:
         try:
-            poset = closed_set_poset(g, vertex_cap=caps.poset_vertices,
-                                     element_cap=caps.poset_elements)
-            closed_count = len(poset.elements)
-            retract_dim = poset.height
+            closed_count, retract_dim = closed_set_stats(
+                g, vertex_cap=caps.poset_vertices,
+                element_cap=caps.poset_elements)
         except ResourceCapError as err:
+            # records have always named the poset here; keep the prefix
             errors.append(f"closed_set_poset: {err}")
 
     betti: Optional[tuple[int, ...]] = None

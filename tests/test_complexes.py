@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbcomplex import (Graph, ParseError, ResourceCapError, SimplicialComplex,
-                       closed_set_poset, closure, common_neighbors,
-                       complete_bipartite_graph, complete_graph, cycle_graph,
-                       facet_list_text, gnp_sample, lovasz_retract,
+                       closed_set_poset, closed_set_stats, closure,
+                       common_neighbors, complete_bipartite_graph,
+                       complete_graph, cycle_graph, facet_list_text,
+                       from_family_spec, gnp_sample, lovasz_retract,
                        neighborhood_complex, neighborliness, parse_facet_list,
                        path_graph)
 
@@ -262,6 +263,52 @@ def test_poset_json_shape():
     assert set(d) == {"elements", "covers", "height"}
     assert d["height"] == 1
     assert [0, 1] in d["elements"]
+
+
+def capped(build, g, **caps):
+    """``build(g, **caps)``, or the message of the cap it hit."""
+    try:
+        return build(g, **caps)
+    except ResourceCapError as err:
+        return str(err)
+
+
+def poset_stats(g, **caps):
+    p = closed_set_poset(g, **caps)
+    return len(p.elements), p.height
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(2), complete_graph(3), complete_graph(5),
+    complete_graph(7), cycle_graph(5), complete_bipartite_graph(3, 4),
+    from_family_spec("xn:3"), Graph.from_edges(0, []),
+    Graph.from_edges(1, []), Graph.from_edges(3, [])],
+    ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_closed_set_stats_match_the_poset_on_named_graphs(g):
+    assert closed_set_stats(g) == poset_stats(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 2**32),
+       st.one_of(st.none(), st.integers(0, 40)))
+def test_closed_set_stats_match_the_poset_on_random_graphs(n, p, seed, cap):
+    g = gnp_sample(n, p, seed)
+    caps = {} if cap is None else {"element_cap": cap}
+    assert capped(closed_set_stats, g, **caps) == \
+        capped(poset_stats, g, **caps)
+
+
+def test_closed_set_stats_raise_where_the_poset_does():
+    for g, caps in ((complete_graph(20), {}),
+                    (gnp_sample(14, 0.5, 12), {"element_cap": 10})):
+        message = capped(poset_stats, g, **caps)
+        assert isinstance(message, str)
+        assert capped(closed_set_stats, g, **caps) == message
+    # a perfect matching: fourteen neighborhoods and no new intersection,
+    # so neither construction counts them against a cap of ten
+    matching = Graph.from_edges(14, [(2 * i, 2 * i + 1) for i in range(7)])
+    assert closed_set_stats(matching, element_cap=10) == \
+        poset_stats(matching, element_cap=10) == (14, 0)
 
 
 # ---------------------------------------------------------------------------

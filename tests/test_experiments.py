@@ -7,10 +7,10 @@ from dataclasses import replace
 
 import pytest
 
-from nbcomplex import experiments
+from nbcomplex import complexes, experiments
 from nbcomplex import (Caps, ExperimentConfig, FormatError, SurveySummary,
-                       TrialRecord, aggregate, betti_sweep,
-                       count_strict_local_maxima, read_records,
+                       TrialRecord, aggregate, betti_sweep, closed_set_poset,
+                       count_strict_local_maxima, gnp_sample, read_records,
                        records_from_csv, records_from_jsonl, records_to_csv,
                        records_to_jsonl, run_survey, run_trial, write_records)
 
@@ -110,6 +110,25 @@ def test_run_trial_records_cap_hits_as_errors():
     assert any("homology" in e for e in r.errors)
     assert r.betti is None
     assert r.closed_set_count is None
+
+
+def test_trials_do_not_build_the_hasse_diagram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a survey trial built the closed-set poset")
+
+    # patched where it is defined and where a direct import would bind it
+    monkeypatch.setattr(complexes, "closed_set_poset", refuse)
+    monkeypatch.setattr(experiments, "closed_set_poset", refuse,
+                        raising=False)
+    cfg = tiny_config(n=9, p_grid=(0.3, 0.6), trials=4)
+    records = run_survey(cfg, jobs=1)
+    monkeypatch.undo()
+    assert len(records) == 8
+    for r in records:
+        assert r.errors == ()
+        poset = closed_set_poset(gnp_sample(cfg.n, r.p, r.seed))
+        assert (r.closed_set_count, r.retract_dimension) == \
+            (len(poset.elements), poset.height)
 
 
 # ---------------------------------------------------------------------------
