@@ -7,6 +7,17 @@ onto that sphere and reduced homology in dimension m-2 is nonzero.  When
 every member is obstructed and the obstructing v-vertices all lie outside
 X, those vertices extend X to a partnered-clique subgraph: the two outcomes
 of the search are both certified, never guessed.
+
+The obstruction search runs on adjacency bitmasks.  With C the common
+neighbors of X minus u (one prefix and one suffix pass of ANDs give C for
+every member u), the first u* is the lowest bit of the union of N(v) over
+v in C, outside X, and its v is the lowest bit of C & N(u*): O(|X| + |C|)
+word operations per index, and the same lexicographically first witness
+as a scan over all pairs.  Every public entry point uses that one search.
+A survey trial enumerates the maximal cliques once and shares the list
+between its clique number and its certificates, which skip the maximality
+check for cliques that came from the enumerator; every certificate is
+still rechecked by the independent plain-loop rescan ``_revalidate``.
 """
 
 from __future__ import annotations
@@ -79,21 +90,46 @@ def _require_maximal_clique(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
     return x
 
 
-def _search_obstruction(g: Graph, x: tuple[int, ...], index: int,
-                        exclude: frozenset = frozenset()
-                        ) -> Optional[ObstructionWitness]:
-    """First (u_star, v) obstruction in lexicographic order, with the
-    blocking vertex v drawn from outside ``exclude``."""
-    rest = [u for i, u in enumerate(x) if i != index]
-    xset = set(x)
-    for u_star in range(g.n):
-        if u_star in xset:
-            continue
-        needed = rest + [u_star]
-        cand = frozenset.intersection(*(g.adj[w] for w in needed)) - exclude
-        if cand:
-            return ObstructionWitness(u_star, min(cand), index)
-    return None
+def _clique_masks(adj: Sequence[int],
+                  x: Sequence[int]) -> tuple[int, list[int]]:
+    """The clique ``x`` as a bitmask, and per index i the bitmask of common
+    neighbors of every member but the i-th (all vertices when that leaves
+    none)."""
+    acc = (1 << len(adj)) - 1
+    inside = 0
+    commons = []
+    for u in x:  # prefixes: members before i
+        commons.append(acc)
+        acc &= adj[u]
+        inside |= 1 << u
+    acc = (1 << len(adj)) - 1
+    for i in range(len(x) - 1, -1, -1):  # and suffixes: members after i
+        commons[i] &= acc
+        acc &= adj[x[i]]
+    return inside, commons
+
+
+def _search_obstruction(adj: Sequence[int], common: int,
+                        inside: int) -> Optional[tuple[int, int]]:
+    """First (u_star, v) in lexicographic order with u_star outside the
+    clique ``inside`` and v in ``common`` adjacent to u_star, or None.
+
+    ``adj`` holds the graph's adjacency bitmasks; ``common`` is the common
+    neighborhood of the clique minus one member (from ``_clique_masks``),
+    less any vertices v may not be drawn from.
+    """
+    reach = 0
+    rest = common
+    while rest:
+        low = rest & -rest
+        reach |= adj[low.bit_length() - 1]
+        rest ^= low
+    reach &= ~inside
+    if not reach:
+        return None
+    u_star = (reach & -reach).bit_length() - 1
+    blockers = common & adj[u_star]
+    return u_star, (blockers & -blockers).bit_length() - 1
 
 
 def obstruction_test(g: Graph, clique: Sequence[int],
@@ -107,7 +143,23 @@ def obstruction_test(g: Graph, clique: Sequence[int],
     x = _require_maximal_clique(g, clique)
     if not 0 <= index < len(x):
         raise ValueError(f"index {index} out of range for clique of size {len(x)}")
-    return _search_obstruction(g, x, index)
+    adj = g.adjacency_masks()
+    inside, commons = _clique_masks(adj, x)
+    found = _search_obstruction(adj, commons[index], inside)
+    return None if found is None else ObstructionWitness(*found, index)
+
+
+def _first_certificate(adj: Sequence[int],
+                       x: tuple[int, ...]) -> Optional[SphereCertificate]:
+    """Certificate from the first unobstructed index of the sorted maximal
+    clique ``x``; None for a single vertex or a fully obstructed clique."""
+    if len(x) < 2:
+        return None
+    inside, commons = _clique_masks(adj, x)
+    for i, common in enumerate(commons):
+        if _search_obstruction(adj, common, inside) is None:
+            return SphereCertificate(x, i, len(x) - 2)
+    return None
 
 
 def sphere_certificate(g: Graph,
@@ -117,12 +169,7 @@ def sphere_certificate(g: Graph,
     Cliques of size one are never certified (there is no sphere to name).
     """
     x = _require_maximal_clique(g, clique)
-    if len(x) < 2:
-        return None
-    for i in range(len(x)):
-        if _search_obstruction(g, x, i) is None:
-            return SphereCertificate(x, i, len(x) - 2)
-    return None
+    return _first_certificate(g.adjacency_masks(), x)
 
 
 def _revalidate(g: Graph, cert: SphereCertificate) -> bool:
@@ -156,11 +203,19 @@ def find_sphere_certificates(g: Graph,
     Sorted by sphere dimension descending, then by clique.  Every returned
     certificate has been re-validated by the independent naive scanner.
     """
+    return _certificates_from_cliques(
+        g, maximal_cliques(g, vertex_cap=vertex_cap))
+
+
+def _certificates_from_cliques(g: Graph, cliques: Sequence[tuple[int, ...]]
+                               ) -> list[SphereCertificate]:
+    """:func:`find_sphere_certificates` on the already enumerated maximal
+    cliques of ``g`` (sorted tuples, as :func:`maximal_cliques` gives them),
+    so they are not checked for maximality again."""
+    adj = g.adjacency_masks()
     certs = []
-    for clique in maximal_cliques(g, vertex_cap=vertex_cap):
-        if len(clique) < 2:
-            continue
-        cert = sphere_certificate(g, clique)
+    for clique in cliques:
+        cert = _first_certificate(adj, clique)
         if cert is not None:
             if not _revalidate(g, cert):
                 raise RuntimeError(
@@ -181,12 +236,14 @@ def obstructed_clique_extension(g: Graph,
     one, None otherwise.  The witness is revalidated before being returned.
     """
     x = _require_maximal_clique(g, clique)
+    adj = g.adjacency_masks()
+    inside, commons = _clique_masks(adj, x)
     partners = []
-    for i in range(len(x)):
-        found = _search_obstruction(g, x, i, exclude=frozenset(x))
+    for common in commons:
+        found = _search_obstruction(adj, common & ~inside, inside)
         if found is None:
             return None
-        partners.append(found.v)
+        partners.append(found[1])
     witness = SubgraphWitness("xn", (x, tuple(partners)))
     if not witness_is_valid(g, witness):
         raise RuntimeError(

@@ -380,7 +380,7 @@ def closed_set_stats(g: Graph, vertex_cap: int = 16,
         raise ResourceCapError(
             f"closed-set construction capped at {vertex_cap} vertices "
             f"(got {g.n}); raise vertex_cap to override")
-    masks = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    masks = g.adjacency_masks()
     neighborhoods = set(masks)
     neighborhoods.discard(0)
     family: set[int] = set()

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, asdict
 from multiprocessing import Pool
 from typing import Optional, Sequence, Union
 
-from .certificates import find_sphere_certificates
+from .certificates import _certificates_from_cliques
 from .complexes import closed_set_stats, neighborhood_complex, neighborliness
 from .errors import FormatError, ResourceCapError
-from .graphs import clique_number, derive_trial_seed, gnp_sample
+from .graphs import derive_trial_seed, gnp_sample, maximal_cliques
 from .homology import graph_homology
 
 log = logging.getLogger(__name__)
@@ -37,12 +37,16 @@ class Caps:
     on its own; the name is kept because it appears in every summary's
     config echo.  ``poset_vertices`` and ``poset_elements`` cap
     ``closed_set_stats``, which gives the ``closed_sets`` and
-    ``retract_dim`` record fields.  ``retract_chains`` feeds nothing and
+    ``retract_dim`` record fields; ``poset_vertices`` matches
+    ``capped_homology_vertices``, so every homology survey gets those
+    fields and the element cap alone bounds the work.  ``clique_vertices``
+    caps the one maximal-clique enumeration that serves both the clique
+    number and the certificates.  ``retract_chains`` feeds nothing and
     stays only for that echo.
     """
 
     clique_vertices: int = 64
-    poset_vertices: int = 16
+    poset_vertices: int = 30
     poset_elements: int = 20_000
     retract_chains: int = 500_000
     neighborliness_steps: int = 5_000_000
@@ -146,12 +150,21 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     connected = nc.component_count() <= 1
     empty = nc.dimension == -1
 
-    cliques: Optional[int] = None
-    if cfg.clique_stats:
+    # one enumeration serves the clique number and the certificates
+    cliques: Optional[list[tuple[int, ...]]] = None
+    clique_cap: Optional[ResourceCapError] = None
+    if cfg.clique_stats or cfg.certificates:
         try:
-            cliques = clique_number(g, vertex_cap=caps.clique_vertices)
+            cliques = maximal_cliques(g, vertex_cap=caps.clique_vertices)
         except ResourceCapError as err:
-            errors.append(f"clique_number: {err}")
+            clique_cap = err
+
+    omega: Optional[int] = None
+    if cfg.clique_stats:
+        if cliques is None:
+            errors.append(f"clique_number: {clique_cap}")
+        else:
+            omega = max((len(c) for c in cliques), default=0)
 
     nbl: Optional[int] = None
     if cfg.neighborliness:
@@ -188,16 +201,16 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
 
     certs: Optional[tuple[int, ...]] = None
     if cfg.certificates:
-        try:
-            found = find_sphere_certificates(g, vertex_cap=caps.clique_vertices)
-            certs = tuple(c.sphere_dim for c in found)
-        except ResourceCapError as err:
-            errors.append(f"certificates: {err}")
+        if cliques is None:
+            errors.append(f"certificates: {clique_cap}")
+        else:
+            certs = tuple(c.sphere_dim
+                          for c in _certificates_from_cliques(g, cliques))
 
     return TrialRecord(
         trial_index=trial_index, p_index=p_index, p=p, seed=seed,
         edge_count=g.edge_count, complex_connected=connected,
-        empty_complex=empty, clique_number=cliques, neighborliness=nbl,
+        empty_complex=empty, clique_number=omega, neighborliness=nbl,
         closed_set_count=closed_count, retract_dimension=retract_dim,
         homology_source=source, betti=betti, torsion_seen=torsion_seen,
         certificates=certs, errors=tuple(errors),

@@ -1,8 +1,12 @@
 """Simple undirected graphs: construction, named families, seeded random
-sampling, a plain text edge-list format, and exact subgraph detectors.
+sampling, a plain text edge-list format, maximal cliques, and exact
+subgraph detectors.
 
 Vertices are always 0..n-1.  Graphs are immutable; adjacency is stored as
-one frozenset per vertex.
+one frozenset per vertex, and :meth:`Graph.adjacency_masks` gives the same
+sets as int bitmasks (bit w of ``masks[v]`` set iff vw is an edge).  The
+clique layer works on those masks: :func:`maximal_cliques` is Bron–Kerbosch
+with the Tomita pivot rule, one int AND per candidate-set update.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError, ResourceCapError
-from .seeds import mix64, unit_threshold
+from .seeds import mix64, splitmix64, unit_threshold
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,10 @@ class Graph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge query ({u}, {v}) out of range for n={self.n}")
         return v in self.adj[u]
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """``adj`` as int bitmasks: bit w of entry v is set iff vw is an edge."""
+        return tuple(sum(1 << w for w in s) for s in self.adj)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -253,10 +261,11 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability out of range: {p}")
     threshold = unit_threshold(p)
-    edges = []
-    for t, (u, v) in enumerate(combinations(range(n), 2)):
-        if mix64(seed, t) < threshold:
-            edges.append((u, v))
+    # mix64(seed, t) == splitmix64(mix64(seed) ^ splitmix64(t)): hash the
+    # seed once, not once per pair
+    h = mix64(seed)
+    edges = [pair for t, pair in enumerate(combinations(range(n), 2))
+             if splitmix64(h ^ splitmix64(t)) < threshold]
     return Graph.from_edges(n, edges)
 
 
@@ -269,11 +278,48 @@ def derive_trial_seed(master_seed: int, p_index: int, trial_index: int) -> int:
 # cliques
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _expand(adj: Sequence[int], r: int, p: int, x: int,
+            out: list[tuple[int, ...]]) -> None:
+    """Report every maximal clique that contains ``r``, extends it from
+    ``p`` and avoids ``x`` (all three are vertex bitmasks)."""
+    if not p and not x:
+        out.append(_bits(r))
+        return
+    pivot, best = -1, -1
+    px = p | x
+    while px:
+        low = px & -px
+        u = low.bit_length() - 1
+        eliminated = (p & adj[u]).bit_count()
+        if eliminated > best:
+            pivot, best = u, eliminated
+        px ^= low
+    cand = p & ~adj[pivot]
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        _expand(adj, r | low, p & adj[v], x & adj[v], out)
+        p ^= low
+        x |= low
+        cand ^= low
+
+
 def maximal_cliques(g: Graph, vertex_cap: int = 64) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, listed lexicographically.
 
-    Classic pivoting branch and bound; the pivot is the candidate with the
-    most eliminations, smallest index on ties, so output order never varies.
+    Bron–Kerbosch on adjacency bitmasks with the Tomita pivot: the pivot
+    is the candidate or excluded vertex that eliminates the most
+    candidates, smallest index on ties, so the search never varies.
     """
     if g.n > vertex_cap:
         raise ResourceCapError(
@@ -282,18 +328,7 @@ def maximal_cliques(g: Graph, vertex_cap: int = 64) -> list[tuple[int, ...]]:
     if g.n == 0:
         return []
     out: list[tuple[int, ...]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(g.adj[u] & p))
-        for v in sorted(p - g.adj[pivot]):
-            expand(r | {v}, p & g.adj[v], x & g.adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(range(g.n)), set())
+    _expand(g.adjacency_masks(), 0, (1 << g.n) - 1, 0, out)
     return sorted(out)
 
 

@@ -29,7 +29,9 @@ def mix64(*parts: int) -> int:
 
     Order sensitive: ``mix64(a, b) != mix64(b, a)`` in general.  This is the
     documented derivation used everywhere a seed is split (per edge slot in
-    G(n, p) sampling, per (p index, trial index) in surveys).
+    G(n, p) sampling, per (p index, trial index) in surveys).  It is a left
+    fold, so ``mix64(*parts, v) == splitmix64(mix64(*parts) ^
+    splitmix64(v & MASK64))``: a shared prefix can be hashed once.
     """
     h = 0
     for v in parts:

@@ -17,7 +17,7 @@ from nbcomplex import (Graph, ObstructionWitness, ResourceCapError,
                        path_graph, sphere_certificate, witness_is_valid,
                        xn_graph)
 
-from test_graphs import small_graphs
+from test_graphs import brute_force_maximal_cliques, small_graphs
 
 
 def k4_with_pendant():
@@ -246,6 +246,63 @@ def test_extension_partners_match_a_brute_force_scan():
                         (None if want is None else (x, want))
                     extended += want is not None
     assert extended > 0  # the samples do reach the extension branch
+
+
+def seeded_graphs():
+    """Seeded G(n, p) graphs, n <= 9, sparse to dense."""
+    return [gnp_sample(n, p, 5_000 + 100 * n + 10 * int(10 * p) + t)
+            for n in range(1, 10) for p in (0.2, 0.4, 0.6, 0.8, 0.95)
+            for t in range(4)]
+
+
+def plain_obstruction(g, x, i):
+    """The first (u*, v) pair in lexicographic order with u* outside the
+    clique x and v adjacent to u* and to every member but the i-th."""
+    rest = [u for j, u in enumerate(x) if j != i]
+    for u_star in range(g.n):
+        if u_star in x:
+            continue
+        for v in range(g.n):
+            if g.has_edge(v, u_star) and all(g.has_edge(v, u) for u in rest):
+                return ObstructionWitness(u_star, v, i)
+    return None
+
+
+def plain_certificates(g):
+    """Certificates by plain loops: every maximal clique of two or more
+    vertices (all subsets tried), its first unobstructed index, sorted by
+    dimension descending, then clique."""
+    certs = []
+    for x in brute_force_maximal_cliques(g):
+        free = [i for i in range(len(x))
+                if plain_obstruction(g, x, i) is None]
+        if len(x) >= 2 and free:
+            certs.append(SphereCertificate(x, free[0], len(x) - 2,
+                                           validated=True))
+    certs.sort(key=lambda c: (-c.sphere_dim, c.clique))
+    return certs
+
+
+def test_obstruction_test_matches_a_plain_double_loop():
+    from nbcomplex import maximal_cliques
+    blocked = free = 0
+    for g in seeded_graphs():
+        for clique in maximal_cliques(g):
+            for i in range(len(clique)):
+                want = plain_obstruction(g, clique, i)
+                assert obstruction_test(g, clique, i) == want
+                blocked += want is not None
+                free += want is None
+    assert blocked > 0 and free > 0  # the samples reach both outcomes
+
+
+def test_find_certificates_match_a_plain_loop_scan():
+    found = 0
+    for g in seeded_graphs():
+        want = plain_certificates(g)
+        assert find_sphere_certificates(g) == want
+        found += len(want)
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------

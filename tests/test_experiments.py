@@ -7,10 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from nbcomplex import complexes, experiments
+from nbcomplex import certificates, complexes, experiments, graphs
 from nbcomplex import (Caps, ExperimentConfig, FormatError, SurveySummary,
-                       TrialRecord, aggregate, betti_sweep, closed_set_poset,
-                       count_strict_local_maxima, gnp_sample, read_records,
+                       TrialRecord, aggregate, betti_sweep, clique_number,
+                       closed_set_poset, count_strict_local_maxima,
+                       find_sphere_certificates, gnp_sample, read_records,
                        records_from_csv, records_from_jsonl, records_to_csv,
                        records_to_jsonl, run_survey, run_trial, write_records)
 
@@ -127,6 +128,51 @@ def test_trials_do_not_build_the_hasse_diagram(monkeypatch):
     for r in records:
         assert r.errors == ()
         poset = closed_set_poset(gnp_sample(cfg.n, r.p, r.seed))
+        assert (r.closed_set_count, r.retract_dimension) == \
+            (len(poset.elements), poset.height)
+
+
+def test_a_trial_enumerates_maximal_cliques_once(monkeypatch):
+    calls = []
+    enumerate_cliques = graphs.maximal_cliques
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_cliques(*args, **kwargs)
+
+    # patched where it is defined and wherever a module imported it
+    for module in (graphs, certificates, experiments):
+        monkeypatch.setattr(module, "maximal_cliques", counted)
+    cfg = tiny_config(n=9, p_grid=(0.5,), trials=1, clique_stats=True,
+                      certificates=True, neighborliness=True)
+    r = run_trial(cfg, 0, 0)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert r.errors == ()
+    g = gnp_sample(cfg.n, r.p, r.seed)
+    assert r.clique_number == clique_number(g)
+    assert r.certificates == tuple(c.sphere_dim
+                                   for c in find_sphere_certificates(g))
+
+
+def test_clique_cap_errors_keep_their_text_and_order():
+    cfg = tiny_config(clique_stats=True, certificates=True,
+                      neighborliness=True, caps=Caps(clique_vertices=6))
+    r = run_trial(cfg, 0, 0)
+    cap = ("maximal clique enumeration capped at 6 vertices (got 7); "
+           "raise vertex_cap to override")
+    assert r.errors == (f"clique_number: {cap}", f"certificates: {cap}")
+    assert r.clique_number is None and r.certificates is None
+    assert r.betti is not None and r.neighborliness is not None
+
+
+def test_homology_trials_above_16_vertices_get_closed_set_fields():
+    cfg = tiny_config(n=18, p_grid=(0.5,), trials=2, master_seed=1,
+                      max_dim=1)
+    for r in run_survey(cfg, jobs=1):
+        assert not any(e.startswith("closed_set_poset") for e in r.errors)
+        poset = closed_set_poset(gnp_sample(cfg.n, r.p, r.seed),
+                                 vertex_cap=18)
         assert (r.closed_set_count, r.retract_dimension) == \
             (len(poset.elements), poset.height)
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbcomplex import (Graph, ParseError, ResourceCapError, SubgraphWitness,
                        clique_number, complete_bipartite_graph, complete_graph,
@@ -17,6 +18,7 @@ from nbcomplex import (Graph, ParseError, ResourceCapError, SubgraphWitness,
                        make_named_graph, maximal_cliques, parse_edge_list,
                        path_graph, serialize_edge_list, witness_is_valid,
                        xn_graph)
+from nbcomplex.seeds import mix64, unit_threshold
 
 
 def small_graphs(max_n=8):
@@ -174,6 +176,25 @@ def test_gnp_rejects_bad_parameters_with_their_messages():
         gnp_sample(-1, 0.5, 0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 13])
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.9, 1.0])
+def test_gnp_is_the_per_pair_definition(n, p):
+    # pair t = (u, v), u < v in lexicographic order, is an edge iff its
+    # draw mix64(seed, t) falls below the threshold of p
+    for seed in (0, 1, 99, 2**64 - 1, 2**70 + 5, -3):
+        pairs = list(itertools.combinations(range(n), 2))
+        want = [pairs[t] for t in range(len(pairs))
+                if mix64(seed, t) < unit_threshold(p)]
+        assert list(gnp_sample(n, p, seed).edges()) == want
+
+
+def test_gnp_edge_list_is_pinned():
+    assert list(gnp_sample(8, 0.5, 31415).edges()) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 7), (2, 4), (2, 5),
+        (2, 6), (2, 7), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7),
+        (6, 7)]
+
+
 def test_trial_seed_is_order_sensitive():
     assert derive_trial_seed(1, 2, 3) != derive_trial_seed(1, 3, 2)
     assert derive_trial_seed(0, 0, 1) != derive_trial_seed(0, 1, 0)
@@ -201,6 +222,39 @@ def test_maximal_cliques_cover_every_edge_and_are_maximal():
         outside = set(range(g.n)) - set(c)
         assert not any(all(g.has_edge(w, u) for u in c) for w in outside)
     assert seen == set(g.edges())
+
+
+def brute_force_maximal_cliques(g):
+    """Every vertex subset that is a clique and lies in no larger clique,
+    found by trying all 2**n subsets."""
+    pairs = itertools.combinations
+    cliques = [c for k in range(1, g.n + 1) for c in pairs(range(g.n), k)
+               if all(g.has_edge(u, v) for u, v in pairs(c, 2))]
+    return sorted(c for c in cliques
+                  if not any(all(g.has_edge(w, u) for u in c)
+                             for w in range(g.n) if w not in c))
+
+
+@settings(max_examples=150)
+@given(small_graphs(10))
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(6, []))
+@example(complete_graph(10))
+def test_maximal_cliques_match_an_all_subsets_brute_force(g):
+    assert maximal_cliques(g) == brute_force_maximal_cliques(g)
+
+
+def test_maximal_cliques_leave_no_reference_cycles():
+    g = gnp_sample(30, 0.5, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        cliques = maximal_cliques(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert cliques
 
 
 def test_maximal_cliques_vertex_cap():
