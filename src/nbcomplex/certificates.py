@@ -14,8 +14,9 @@ every member u), the first u* is the lowest bit of the union of N(v) over
 v in C, outside X, and its v is the lowest bit of C & N(u*): O(|X| + |C|)
 word operations per index, and the same lexicographically first witness
 as a scan over all pairs.  Every public entry point uses that one search.
-A survey trial enumerates the maximal cliques once and shares the list
-between its clique number and its certificates, which skip the maximality
+A survey trial and :func:`bound_comparison` enumerate the maximal cliques
+once and share the list between the clique number, the certificates and,
+in the comparison, the exact coloring; the certificates skip the maximality
 check for cliques that came from the enumerator; every certificate is
 still rechecked by the independent plain-loop rescan ``_revalidate``.
 """
@@ -28,8 +29,7 @@ from typing import Optional, Sequence
 
 from .complexes import neighborliness
 from .errors import ResourceCapError
-from .graphs import Graph, SubgraphWitness, clique_number, maximal_cliques, \
-    witness_is_valid
+from .graphs import Graph, SubgraphWitness, maximal_cliques, witness_is_valid
 from .homology import AtLeast, Connectivity, graph_homology, \
     homological_connectivity
 
@@ -293,13 +293,23 @@ def chromatic_number_exact(g: Graph, vertex_cap: int = 20) -> int:
     the uncolored vertex with the most distinct neighbor colors, smallest
     index on ties, and tries colors in numeric order.
     """
+    _require_coloring_size(g, vertex_cap)
+    return _chromatic_from_cliques(g, maximal_cliques(g))
+
+
+def _require_coloring_size(g: Graph, vertex_cap: int) -> None:
     if g.n > vertex_cap:
         raise ResourceCapError(
             f"exact coloring capped at {vertex_cap} vertices (got {g.n}); "
             f"raise vertex_cap to override")
+
+
+def _chromatic_from_cliques(g: Graph,
+                            cliques: Sequence[tuple[int, ...]]) -> int:
+    """:func:`chromatic_number_exact` on the already enumerated maximal
+    cliques of ``g``, past its vertex cap."""
     if g.n == 0:
         return 0
-    cliques = maximal_cliques(g)
     omega = max(len(c) for c in cliques)
     ub = _greedy_bound(g)
     if omega == ub:
@@ -371,15 +381,31 @@ def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
             missing.append(name)
             return None
 
-    chi = attempt("chromatic_number",
-                  lambda: chromatic_number_exact(g, vertex_cap=coloring_cap))
-    omega = attempt("clique_number", lambda: clique_number(g))
+    # one enumeration serves the coloring, the clique number and the
+    # certificates; a capped one leaves all three missing
+    try:
+        cliques, clique_cap = maximal_cliques(g), None
+    except ResourceCapError as err:
+        cliques, clique_cap = None, err
+
+    def from_cliques(fn):
+        if cliques is None:
+            raise clique_cap
+        return fn(cliques)
+
+    def chromatic():
+        _require_coloring_size(g, coloring_cap)
+        return from_cliques(lambda cl: _chromatic_from_cliques(g, cl))
+
+    chi = attempt("chromatic_number", chromatic)
+    omega = attempt("clique_number",
+                    lambda: from_cliques(lambda cl: max(len(c) for c in cl)))
     nbound = attempt("neighborliness_bound",
                      lambda: neighborliness_chromatic_bound(g))
     conn = attempt("hom_connectivity",
                    lambda: homological_connectivity(graph_homology(g)[0]))
-    certs = attempt("best_certificate_dim",
-                    lambda: find_sphere_certificates(g))
+    certs = attempt("best_certificate_dim", lambda: from_cliques(
+        lambda cl: _certificates_from_cliques(g, cl)))
     best_dim = None
     if certs is not None:
         best_dim = max((c.sphere_dim for c in certs), default=None)

@@ -1,22 +1,33 @@
 """Exact reduced simplicial homology over the integers and over GF(2).
 
-Boundary matrices are assembled from facet data with the usual alternating
-sign convention, plus an augmentation row in degree zero so that Betti
-numbers come out reduced.  Integer ranks, torsion, and GF(2) ranks are all
-computed exactly: bitset elimination gives the GF(2) ranks, and a two-phase
-Smith normal form in arbitrary-precision integers gives the others.  Its
-unit phase eliminates +-1 pivots first, sparsest row first, which keeps the
-fill-in of boundary matrices small and is exact over Z because a unit pivot
-needs no division; only the columns left without a unit entry go on to the
-general smallest-entry reduction and its divisibility pass.
+Boundary matrices are built from the faces with the usual alternating sign
+convention, plus an augmentation row in degree zero so that Betti numbers
+come out reduced.  Integer ranks and torsion come from a two-phase Smith
+normal form in arbitrary-precision integers.  Its unit phase eliminates
++-1 pivots first, sparsest row first, which keeps the fill-in of boundary
+matrices small and is exact over Z because a unit pivot needs no division;
+only the columns left without a unit entry go on to the general
+smallest-entry reduction and its divisibility pass.
+
+Integer homology reduces the boundary maps from the top dimension down and
+clears as it goes: a k-face that was a unit pivot row of the map on
+(k+1)-faces is never assembled as a column of the map on k-faces.  The unit
+pivots form a square block of determinant +-1, so the cleared columns are
+integer combinations of the kept ones (see :func:`homology_integer`); the
+column lattice and every invariant factor stay the same, whether or not the
+map above left a residue.  GF(2) ranks are read off the same invariant
+factors as the number of odd ones.  Bitset elimination over GF(2)
+(:func:`betti_field2`) serves GF(2)-only requests and is the independent
+check.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
-from typing import NamedTuple, Optional, Union
+from typing import Collection, NamedTuple, Optional, Union
 
 from .complexes import SimplicialComplex, neighborhood_complex
 
@@ -79,13 +90,27 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     normalizes the residue's diagonal to the divisibility chain
     d1 | d2 | ... via pairwise gcd/lcm swaps.  The unit factors divide
     everything, so they lead the chain without entering that pass.
+
+    :func:`homology_integer` runs the same reduction and also keeps the
+    unit phase's pivot rows.  With the pivot columns they span a square
+    block whose determinant is the product of the pivots, +-1, however
+    large the residue; that is what lets those rows be cleared from the
+    next boundary map down.
     """
-    cols = [{r: v for r, v in col.items() if v} for col in m.cols]
+    rank, factors, _ = _smith_reduce(
+        [{r: v for r, v in col.items() if v} for col in m.cols])
+    return rank, factors
+
+
+def _smith_reduce(cols: list[dict]
+                  ) -> tuple[int, tuple[int, ...], list[int]]:
+    """:func:`smith_normal_form` on columns given as row -> nonzero entry
+    dicts, which it consumes; also returns the unit phase's pivot rows."""
     members: dict[int, set] = {}  # row -> columns with a nonzero there
     for c, col in enumerate(cols):
         for r in col:
             members.setdefault(r, set()).add(c)
-    units = 0
+    pivot_rows: list[int] = []
     for c, col in enumerate(cols):
         r, fewest = None, len(cols) + 1  # no row meets more columns
         for i, v in col.items():
@@ -111,7 +136,8 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
         for i in col:
             members[i].discard(c)
         col.clear()
-        units += 1
+        pivot_rows.append(r)
+    units = len(pivot_rows)
 
     rows: dict[int, dict[int, int]] = {}
     colrows: dict[int, set] = {}
@@ -192,7 +218,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
                     changed = True
         if changed:
             vals.sort()
-    return units + len(diag), (1,) * units + tuple(vals)
+    return units + len(diag), (1,) * units + tuple(vals), pivot_rows
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +232,14 @@ class ChainComplexData:
     ``faces[k]`` lists the dimension-k faces (sorted tuples) for
     k = 0..max_dim+1.  ``boundaries[k]`` maps k-chains to (k-1)-chains;
     index 0 is the 1 x f_0 augmentation row of ones, so kernels and ranks
-    combine directly into reduced Betti numbers.
+    combine directly into reduced Betti numbers.  The boundary maps are
+    assembled on first use: :func:`homology_integer` builds only the
+    columns it reduces and never touches them.
     """
 
     max_dim: int
     complex_dim: int
     faces: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[SparseIntMatrix, ...]
 
     @property
     def truncated(self) -> bool:
@@ -221,40 +248,56 @@ class ChainComplexData:
     def face_count(self, k: int) -> int:
         return len(self.faces[k]) if 0 <= k < len(self.faces) else 0
 
+    @cached_property
+    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
+        return tuple(
+            SparseIntMatrix(self.face_count(k - 1) if k else 1,
+                            self.face_count(k),
+                            tuple(_boundary_columns(self.faces, k)))
+            for k in range(self.max_dim + 2))
+
+
+def _boundary_columns(faces: tuple[tuple[tuple[int, ...], ...], ...], k: int,
+                     skip: Collection[int] = ()) -> list[dict]:
+    """Columns of the boundary map on the k-faces ``faces[k]``, leaving out
+    those whose index is in ``skip``.
+
+    Column j maps row indices into ``faces[k-1]`` to entries, with the
+    ascending-vertex sign convention: deleting the i-th smallest vertex
+    carries (-1)**i.  For k = 0 each column is the augmentation entry 1.
+    """
+    if k == 0:
+        return [{0: 1} for j in range(len(faces[0])) if j not in skip]
+    index = {f: i for i, f in enumerate(faces[k - 1])}
+    cols = []
+    for j, f in enumerate(faces[k]):
+        if j in skip:
+            continue
+        col = {}
+        sign = 1
+        for i in range(k + 1):
+            col[index[f[:i] + f[i + 1:]]] = sign
+            sign = -sign
+        cols.append(col)
+    return cols
+
 
 def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
                       face_cap: int = 500_000) -> ChainComplexData:
-    """Assemble boundary maps of a complex for dimensions 0..max_dim.
+    """Chain data of a complex for dimensions 0..max_dim.
 
     Faces of dimensions 0..max_dim+1 come from
     ``SimplicialComplex.faces_up_to``, and ``face_cap`` caps their total
-    over all those dimensions.  Signs follow the ascending-vertex
-    convention: deleting the i-th smallest vertex carries (-1)**i.
+    over all those dimensions.  The boundary maps are assembled from them
+    when first read.
     """
     dim = c.dimension
     if max_dim is None:
         max_dim = max(dim, 0)
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-
-    faces = c.faces_up_to(max_dim + 1, cap=face_cap)
-    index: list[dict] = [{f: i for i, f in enumerate(layer)} for layer in faces]
-
-    boundaries: list[SparseIntMatrix] = []
-    # augmentation: every vertex maps to the generator of degree -1
-    boundaries.append(SparseIntMatrix(
-        1, len(faces[0]), tuple({0: 1} for _ in faces[0])))
-    for k in range(1, max_dim + 2):
-        cols = []
-        for f in faces[k]:
-            col: dict = {}
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                col[index[k - 1][sub]] = -1 if i % 2 else 1
-            cols.append(col)
-        boundaries.append(SparseIntMatrix(len(faces[k - 1]), len(faces[k]),
-                                          tuple(cols)))
-    return ChainComplexData(max_dim, dim, faces, tuple(boundaries))
+    return ChainComplexData(max_dim, dim,
+                            c.faces_up_to(max_dim + 1, cap=face_cap))
 
 
 def core_boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
@@ -337,8 +380,30 @@ def betti_field2(d: ChainComplexData) -> tuple[int, ...]:
 
 def homology_integer(d: ChainComplexData,
                      with_field2: bool = False) -> HomologyResult:
-    """Exact integer homology (free ranks plus torsion) from boundary data."""
-    snf = [smith_normal_form(b) for b in d.boundaries]
+    """Exact integer homology (free ranks plus torsion) from chain data.
+
+    The boundary maps are reduced from the top dimension down, and a
+    k-face that was a unit pivot row of the boundary map above is never
+    assembled as a column of the boundary map on k-faces (clearing).  That
+    keeps every invariant factor, residue or not: the unit pivots (R, C)
+    of the map above, D, form a square block whose determinant is their
+    product, +-1, so from d_k D = 0,
+    d_k[:, R] = -d_k[:, not R] D[not R, C] D[R, C]^-1 with an integer
+    inverse.  The dropped columns are integer combinations of the kept
+    ones, so the column lattice, the rank and the factors are unchanged.
+
+    With ``with_field2`` the GF(2) rank of each map is its number of odd
+    invariant factors: the Smith transforms are unimodular, so they stay
+    invertible mod 2.
+    """
+    snf = []
+    cleared = frozenset()
+    for k in range(d.max_dim + 1, -1, -1):
+        rank, factors, pivot_rows = _smith_reduce(
+            _boundary_columns(d.faces, k, skip=cleared))
+        snf.append((rank, factors))
+        cleared = frozenset(pivot_rows)
+    snf.reverse()
     betti = []
     torsion = []
     for k in range(d.max_dim + 1):
@@ -346,7 +411,11 @@ def homology_integer(d: ChainComplexData,
         rank_up = snf[k + 1][0]
         betti.append(d.face_count(k) - rank_k - rank_up)
         torsion.append(tuple(f for f in snf[k + 1][1] if f > 1))
-    field2 = betti_field2(d) if with_field2 else None
+    field2 = None
+    if with_field2:
+        odd = [sum(f & 1 for f in factors) for _, factors in snf]
+        field2 = tuple(d.face_count(k) - odd[k] - odd[k + 1]
+                       for k in range(d.max_dim + 1))
     return HomologyResult(tuple(betti), tuple(torsion), field2,
                           d.truncated, d.face_count(0) == 0)
 

@@ -7,9 +7,11 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from nbcomplex import certificates, graphs
 from nbcomplex import (Graph, ObstructionWitness, ResourceCapError,
                        SphereCertificate, bound_comparison,
-                       chromatic_number_exact, comparisons_csv,
+                       chromatic_number_exact, clique_number,
+                       comparisons_csv,
                        complete_graph, cycle_graph,
                        find_sphere_certificates, gnp_sample, graph_homology,
                        kneser_graph, neighborliness_chromatic_bound,
@@ -373,6 +375,41 @@ def test_bound_comparison_records_capped_fields_as_missing():
     # the other columns still fill in
     assert r.clique_number is not None
     assert r.hom_connectivity is not None
+
+
+@pytest.mark.parametrize("g, coloring_cap, missing", [
+    (gnp_sample(9, 0.5, 17), 20, ()),
+    (gnp_sample(9, 0.5, 17), 5, ("chromatic_number",)),
+    # past the enumerator's 64-vertex cap: coloring, clique number and
+    # certificates all go missing, whatever the coloring cap says
+    (path_graph(65), 20,
+     ("chromatic_number", "clique_number", "best_certificate_dim")),
+    (path_graph(65), 100,
+     ("chromatic_number", "clique_number", "best_certificate_dim")),
+], ids=["uncapped", "coloring-cap", "clique-cap", "clique-cap-only"])
+def test_bound_comparison_enumerates_maximal_cliques_once(
+        monkeypatch, g, coloring_cap, missing):
+    calls = []
+    enumerate_cliques = graphs.maximal_cliques
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_cliques(*args, **kwargs)
+
+    # patched where it is defined and wherever a module imported it
+    for module in (graphs, certificates):
+        monkeypatch.setattr(module, "maximal_cliques", counted)
+    r = bound_comparison(g, coloring_cap=coloring_cap)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert r.missing == missing
+    if "chromatic_number" not in missing:
+        assert r.chromatic_number == chromatic_number_exact(g)
+    if "clique_number" not in missing:
+        assert r.clique_number == clique_number(g)
+        best = max((c.sphere_dim for c in find_sphere_certificates(g)),
+                   default=None)
+        assert r.best_certificate_dim == best
 
 
 def test_comparisons_csv_layout():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from nbcomplex import homology
 from nbcomplex import (AtLeast, Graph, ResourceCapError, SimplicialComplex,
                        boundary_matrices, closed_set_poset,
                        complete_bipartite_graph, complete_graph,
@@ -17,8 +19,8 @@ from nbcomplex import (AtLeast, Graph, ResourceCapError, SimplicialComplex,
                        homological_connectivity, homology_integer,
                        lovasz_retract, neighborhood_complex,
                        smith_normal_form)
-from nbcomplex.homology import (SparseIntMatrix, boundary_composition_is_zero,
-                                gf2_rank)
+from nbcomplex.homology import (SparseIntMatrix, betti_field2,
+                                boundary_composition_is_zero, gf2_rank)
 
 from test_complexes import facet_lists
 from test_graphs import small_graphs
@@ -140,6 +142,96 @@ def test_snf_matches_sympy_on_surface_boundaries(n, facets):
         rows = [[b.cols[j].get(i, 0) for j in range(b.ncols)]
                 for i in range(b.nrows)]
         assert smith_normal_form(b) == sympy_invariants(rows, b.ncols)
+
+
+# ---------------------------------------------------------------------------
+# clearing: the top-down reduction in homology_integer
+
+
+# the suspension of RP^2: two cones over it, so H~_2 = Z/2
+SUSPENDED_RP2_FACETS = [f + (apex,) for f in RP2_FACETS for apex in (6, 7)]
+
+REFERENCE_COMPLEXES = [(6, RP2_FACETS), (8, SUSPENDED_RP2_FACETS),
+                       (7, TORUS_FACETS)]
+REFERENCE_IDS = ["rp2", "suspended-rp2", "torus"]
+
+
+def cleared_reductions(d):
+    """What homology_integer hands the Smith reduction, top dimension
+    first: per call the columns reduced, the rank, the invariant factors
+    and the number of unit pivots."""
+    seen = []
+    reduce = homology._smith_reduce
+
+    def recorded(cols):
+        ncols = len(cols)
+        rank, factors, pivot_rows = reduce(cols)
+        seen.append((ncols, rank, factors, len(pivot_rows)))
+        return rank, factors, pivot_rows
+
+    with mock.patch.object(homology, "_smith_reduce", recorded):
+        result = homology_integer(d, with_field2=True)
+    return result, seen[::-1]
+
+
+def assert_clearing_is_exact(d):
+    result, reductions = cleared_reductions(d)
+    assert len(reductions) == len(d.boundaries)
+    for k, (ncols, rank, factors, units) in enumerate(reductions):
+        # cleared: the unit pivot rows of the map above are not columns here
+        above = reductions[k + 1][3] if k + 1 < len(reductions) else 0
+        assert ncols == d.face_count(k) - above
+        assert (rank, factors) == smith_normal_form(d.boundaries[k])
+    assert result.field2 == betti_field2(d)
+    return reductions
+
+
+@settings(max_examples=100, deadline=None)
+@given(facet_lists)
+def test_cleared_reduction_matches_the_full_smith_normal_form(facets):
+    assert_clearing_is_exact(boundary_matrices(
+        SimplicialComplex.from_faces(8, facets)))
+
+
+@pytest.mark.parametrize("n, facets", REFERENCE_COMPLEXES, ids=REFERENCE_IDS)
+def test_cleared_reduction_matches_on_surfaces_and_torsion(n, facets):
+    assert_clearing_is_exact(boundary_matrices(
+        SimplicialComplex.from_faces(n, facets)))
+
+
+def test_clearing_holds_when_the_map_above_leaves_a_residue():
+    # RP^2's top boundary map has a residue (its factor 2), yet the cleared
+    # edge map still has every factor of the full one
+    d = boundary_matrices(SimplicialComplex.from_faces(6, RP2_FACETS))
+    reductions = assert_clearing_is_exact(d)
+    _, rank, factors, units = reductions[2]
+    assert units < rank and 2 in factors
+    assert reductions[1][0] < d.face_count(1)
+
+
+def test_suspended_projective_plane_moves_the_torsion_up():
+    d = boundary_matrices(SimplicialComplex.from_faces(8,
+                                                       SUSPENDED_RP2_FACETS))
+    r = homology_integer(d, with_field2=True)
+    assert r.betti == (0, 0, 0, 0)
+    assert r.torsion == ((), (), (2,), ())
+    assert r.field2 == (0, 0, 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
+def test_field2_from_invariant_factors_matches_bitset_ranks(n, p, seed):
+    d = boundary_matrices(neighborhood_complex(gnp_sample(n, p, seed)))
+    assert homology_integer(d, with_field2=True).field2 == betti_field2(d)
+
+
+def test_clearing_skips_the_unit_pivot_rows_of_the_map_above():
+    # N[K_6] is the boundary of the 5-simplex, f = (6, 15, 20, 15, 6): top
+    # down, each map's unit pivots clear as many columns of the next
+    d = boundary_matrices(neighborhood_complex(complete_graph(6)))
+    reductions = assert_clearing_is_exact(d)
+    assert [ncols for ncols, _, _, _ in reductions] == [1, 5, 10, 10, 6, 0]
+    assert [units for _, _, _, units in reductions] == [1, 5, 10, 10, 5, 0]
 
 
 # ---------------------------------------------------------------------------
