@@ -12,12 +12,15 @@ retract of N[G], built by the ``retract`` command and kept as an
 independent cross-check of the homology.  Survey records need only the
 poset's size and height, which ``closed_set_stats`` computes on bitmasks
 without building the poset.  The face poset itself is never materialized.
+Neighborliness is a minimum hitting set of the non-neighborhoods, found by
+branch-and-bound on the same bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, ResourceCapError
@@ -225,6 +228,29 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex.from_faces(g.n, (g.adj[v] for v in range(g.n)))
 
 
+def neighborhood_complex_components(g: Graph) -> int:
+    """``neighborhood_complex(g).component_count()`` without building the
+    complex.
+
+    Each neighborhood is a face, and every face lies in a neighborhood, so
+    the components are the classes of vertices linked by chains of
+    overlapping neighborhoods: each nonzero N(w) bitmask is merged with
+    every component mask it meets.
+    """
+    components: list[int] = []
+    for merged in g.adjacency_masks():
+        if merged:
+            apart = []
+            for c in components:
+                if c & merged:
+                    merged |= c
+                else:
+                    apart.append(c)
+            apart.append(merged)
+            components = apart
+    return len(components)
+
+
 def common_neighbors(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """Vertices adjacent to everything in s; all of V for s empty.
 
@@ -256,25 +282,147 @@ def closure(g: Graph, s: Iterable[int]) -> frozenset[int]:
 def neighborliness(g: Graph, work_cap: int = 5_000_000) -> int:
     """Largest i such that every i-subset of vertices has a common neighbor.
 
-    Checked level by level directly against the graph; 0 when some vertex
-    is isolated.  The whole vertex set never has a common neighbor, so the
-    value is at most n - 1.
+    0 when some vertex is isolated.  The whole vertex set never has a
+    common neighbor, so the value is at most n - 1.
+
+    A vertex set S has no common neighbor exactly when it meets every
+    non-neighborhood V - N(w), so the value is h - 1 for h the size of a
+    smallest set hitting all of them.  That is found by a branch-and-bound
+    on bitmasks, not by listing subsets.
+
+    ``work_cap`` keeps the contract of a level-by-level scan that checks
+    the i-subsets in lexicographic order, i = 1, 2, ..., one step per
+    subset, and stops at the first subset with no common neighbor: such a
+    scan takes C(n,1) + ... + C(n,h-1) steps, plus the lexicographic rank
+    of the first hitting h-set, plus one.  The value is returned, or the
+    error raised, exactly when that scan would return it or pass
+    ``work_cap``.  The level L at which the scan's count would pass the cap
+    comes from the binomials alone.  Levels below L are settled by the
+    search, bounded to sets of fewer than L vertices.  If none hits, level
+    L is settled by a lexicographic search over L-sets that skips every
+    subtree whose ranks all lie at or past the scan's remaining budget:
+    a hit there returns L - 1, and a miss raises ``ResourceCapError``
+    (``at level L``, ``best = L - 1``) as the scan would.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise ValueError("neighborliness needs at least one vertex")
-    steps = 0
-    i = 1
-    while i <= g.n:
-        for s in combinations(range(g.n), i):
-            steps += 1
-            if steps > work_cap:
-                raise ResourceCapError(
-                    f"neighborliness exceeded work cap {work_cap} at level {i}",
-                    best=i - 1)
-            if not frozenset.intersection(*(g.adj[v] for v in s)):
-                return i - 1
-        i += 1
-    return g.n  # unreachable: level n always fails
+    full = (1 << n) - 1
+    # only the inclusion-minimal non-neighborhoods need hitting
+    targets: list[int] = []
+    for m in sorted({full & ~a for a in g.adjacency_masks()},
+                    key=int.bit_count):
+        if not any(t & m == t for t in targets):
+            targets.append(m)
+
+    # the first level whose subsets would take the scan past work_cap,
+    # n + 1 when the scan always finishes; scanned = C(n,1)+...+C(n,level-1)
+    level, scanned, width = 1, 0, n
+    while level <= n and scanned + width <= work_cap:
+        scanned += width
+        width = width * (n - level) // (level + 1)
+        level += 1
+
+    size = _min_hitting_set(targets, level - 1)
+    if size is not None:
+        return size - 1
+    if _hits_below_rank(n, level, targets, work_cap - scanned):
+        return level - 1
+    raise ResourceCapError(
+        f"neighborliness exceeded work cap {work_cap} at level {level}",
+        best=level - 1)
+
+
+def _disjoint_count(masks: Iterable[int], stop: int) -> int:
+    """Greedy count of pairwise disjoint masks, a lower bound on the size of
+    any set hitting them all; counting stops once it passes ``stop``."""
+    used = count = 0
+    for m in masks:
+        if not m & used:
+            used |= m
+            count += 1
+            if count > stop:
+                break
+    return count
+
+
+def _min_hitting_set(targets: list[int], limit: int) -> Optional[int]:
+    """Size of a smallest vertex set meeting every target, or None when
+    every such set has more than ``limit`` vertices.
+
+    Branches on the vertices of the smallest unmet target, one at a time:
+    a set either holds the vertex, or the vertex is struck from every
+    target and the next smallest target is taken, so no set is visited
+    twice.  Prunes with the count of pairwise disjoint unmet targets.
+    """
+    best = limit + 1
+
+    def search(chosen: int, unmet: list[int]) -> None:
+        nonlocal best
+        while True:
+            room = best - 1 - chosen  # vertices a better set may still add
+            if _disjoint_count(unmet, room) > room:
+                return
+            if room == 1:
+                common = -1
+                for m in unmet:
+                    common &= m
+                if common:
+                    best = chosen + 1
+                return
+            bit = unmet[0] & -unmet[0]
+            rest = [m for m in unmet if not m & bit]
+            if not rest:
+                best = chosen + 1
+                return
+            search(chosen + 1, rest)
+            # the sets holding this vertex are done; exclude it
+            unmet = sorted((m & ~bit for m in unmet), key=int.bit_count)
+            if not unmet[0]:
+                return
+
+    search(0, targets)
+    return best if best <= limit else None
+
+
+def _hits_below_rank(n: int, size: int, targets: list[int],
+                     ranks: int) -> bool:
+    """Whether some ``size``-subset of range(n) meeting every target is
+    among the first ``ranks`` subsets in lexicographic order.
+
+    Vertices are picked in ascending order, so the subsets under a node
+    hold consecutive ranks, and a node is left as soon as its first rank
+    reaches ``ranks``.
+    """
+    def search(low: int, need: int, unmet: list[int], first: int) -> bool:
+        # vertices come from low..n-1; first is the rank of the first
+        # subset under this node
+        above = -1 << low
+        if need == 1:
+            common = above
+            for m in unmet:
+                common &= m
+            return bool(common) and \
+                first + (common & -common).bit_length() - 1 - low < ranks
+        unmet = [m & above for m in unmet]
+        top = n - need
+        for m in unmet:
+            if not m:
+                return False
+            top = min(top, m.bit_length() - 1)  # later picks only go up
+        if _disjoint_count(unmet, need) > need:
+            return False
+        for v in range(low, top + 1):
+            if first >= ranks:
+                return False
+            bit = 1 << v
+            if search(v + 1, need - 1, [m for m in unmet if not m & bit],
+                      first):
+                return True
+            first += comb(n - 1 - v, need - 1)
+        return False
+
+    return search(0, size, targets, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from multiprocessing import Pool
 from typing import Optional, Sequence, Union
 
 from .certificates import _certificates_from_cliques
-from .complexes import closed_set_stats, neighborhood_complex, neighborliness
+from .complexes import (closed_set_stats, neighborhood_complex_components,
+                        neighborliness)
 from .errors import FormatError, ResourceCapError
 from .graphs import derive_trial_seed, gnp_sample, maximal_cliques
 from .homology import graph_homology
@@ -41,8 +42,11 @@ class Caps:
     ``capped_homology_vertices``, so every homology survey gets those
     fields and the element cap alone bounds the work.  ``clique_vertices``
     caps the one maximal-clique enumeration that serves both the clique
-    number and the certificates.  ``retract_chains`` feeds nothing and
-    stays only for that echo.
+    number and the certificates.  ``neighborliness_steps`` still counts the
+    steps of a level-by-level scan of the i-subsets in lexicographic order;
+    ``neighborliness`` no longer takes those steps, but returns or raises
+    exactly where that scan would, so the same trials are capped.
+    ``retract_chains`` feeds nothing and stays only for that echo.
     """
 
     clique_vertices: int = 64
@@ -146,9 +150,9 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     caps = cfg.caps
     errors: list[str] = []
 
-    nc = neighborhood_complex(g)
-    connected = nc.component_count() <= 1
-    empty = nc.dimension == -1
+    # N[G] itself is built only by graph_homology
+    connected = neighborhood_complex_components(g) <= 1
+    empty = g.edge_count == 0
 
     # one enumeration serves the clique number and the certificates
     cliques: Optional[list[tuple[int, ...]]] = None

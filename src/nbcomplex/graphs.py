@@ -56,8 +56,19 @@ class Graph:
         return v in self.adj[u]
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """``adj`` as int bitmasks: bit w of entry v is set iff vw is an edge."""
-        return tuple(sum(1 << w for w in s) for s in self.adj)
+        """``adj`` as int bitmasks: bit w of entry v is set iff vw is an edge.
+
+        Built on the first call and kept on the instance, outside the
+        dataclass fields, so equality, hashing, repr and pickles ignore it.
+        """
+        masks = self.__dict__.get("_masks")
+        if masks is None:
+            masks = tuple(sum(1 << w for w in s) for s in self.adj)
+            object.__setattr__(self, "_masks", masks)
+        return masks
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "adj": self.adj}
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

@@ -3,6 +3,7 @@ and the retract."""
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import math
@@ -15,8 +16,10 @@ from nbcomplex import (Graph, ParseError, ResourceCapError, SimplicialComplex,
                        common_neighbors, complete_bipartite_graph,
                        complete_graph, cycle_graph, facet_list_text,
                        from_family_spec, gnp_sample, lovasz_retract,
-                       neighborhood_complex, neighborliness, parse_facet_list,
+                       neighborhood_complex, neighborliness,
+                       neighborliness_chromatic_bound, parse_facet_list,
                        path_graph)
+from nbcomplex.complexes import neighborhood_complex_components
 
 from test_graphs import small_graphs
 
@@ -171,6 +174,40 @@ def test_five_cycle_complex_is_a_five_cycle():
     assert c.facets == ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
 
 
+def disjoint_cliques(*sizes):
+    edges, start = [], 0
+    for m in sizes:
+        edges += [(start + u, start + v)
+                  for u, v in itertools.combinations(range(m), 2)]
+        start += m
+    return Graph.from_edges(start, edges)
+
+
+@pytest.mark.parametrize("g, components", [
+    (Graph.from_edges(0, []), 0),
+    (Graph.from_edges(1, []), 0),
+    (Graph.from_edges(4, []), 0),
+    (disjoint_cliques(2, 2, 2, 2), 8),  # a perfect matching: eight points
+    (disjoint_cliques(3, 4, 1, 5), 3),
+    (disjoint_cliques(2, 3), 3),
+    (cycle_graph(5), 1),
+    (complete_bipartite_graph(3, 4), 2),
+])
+def test_component_count_from_masks_on_named_graphs(g, components):
+    c = neighborhood_complex(g)
+    assert neighborhood_complex_components(g) == c.component_count() \
+        == components
+    assert (g.edge_count == 0) == (c.dimension == -1)
+
+
+def test_component_count_from_masks_on_random_graphs():
+    for k in range(200):
+        g = gnp_sample(1 + k % 14, (k * 37 % 101) / 100, 70_000 + k)
+        c = neighborhood_complex(g)
+        assert neighborhood_complex_components(g) == c.component_count(), k
+        assert (g.edge_count == 0) == (c.dimension == -1), k
+
+
 @settings(max_examples=40)
 @given(small_graphs(6))
 def test_every_facet_is_somebodys_neighborhood(g):
@@ -201,6 +238,94 @@ def test_neighborliness_cap_reports_best_level_finished():
     with pytest.raises(ResourceCapError) as err:
         neighborliness(complete_graph(12), work_cap=20)
     assert err.value.best == 1
+
+
+def level_scan(g, work_cap=None):
+    """The level-by-level scan that ``neighborliness`` replaced, kept as its
+    oracle: i-subsets in lexicographic order, one step each, until one has
+    no common neighbor.  Returns (value, steps taken)."""
+    steps = 0
+    for i in range(1, g.n + 1):
+        for s in itertools.combinations(range(g.n), i):
+            steps += 1
+            if work_cap is not None and steps > work_cap:
+                raise ResourceCapError(
+                    f"neighborliness exceeded work cap {work_cap} at level {i}",
+                    best=i - 1)
+            if not frozenset.intersection(*(g.adj[v] for v in s)):
+                return i - 1, steps
+    raise AssertionError("the whole vertex set has a common neighbor")
+
+
+def cap_outcome(f, g, work_cap):
+    try:
+        return f(g, work_cap)
+    except ResourceCapError as err:
+        return str(err), err.best
+
+
+def scan_totals(n):
+    """[0, C(n,1), C(n,1) + C(n,2), ...]: the scan's steps through each level."""
+    return [0, *itertools.accumulate(math.comb(n, i) for i in range(1, n + 1))]
+
+
+def test_neighborliness_matches_the_level_scan_on_random_graphs():
+    sides = collections.Counter()
+    for k in range(600):
+        n = 1 + k % 12
+        p = (k * 7919 % 1000) / 999
+        g = gnp_sample(n, p, 90_000 + k)
+        value, steps = level_scan(g)
+        failing = value + 1
+        totals = scan_totals(n)
+        caps = {-1, 0, steps - 1, steps, steps + 1, 5_000_000,
+                totals[failing - 1] - 1, totals[failing - 1],
+                totals[failing - 1] + 1, totals[failing]}
+        for cap in caps:
+            expected = cap_outcome(lambda h, c: level_scan(h, c)[0], g, cap)
+            assert cap_outcome(neighborliness, g, cap) == expected, (k, cap)
+            capped = sum(1 for t in totals if t <= cap)  # the cap's level
+            sides[(capped > failing) - (capped < failing)] += 1
+    # caps landed below, at and above the failing level
+    assert min(sides[-1], sides[0], sides[1]) > 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(10).filter(lambda g: g.n >= 1), st.integers(-1, 1100))
+def test_neighborliness_matches_the_level_scan_on_edge_sets(g, cap):
+    expected = cap_outcome(lambda h, c: level_scan(h, c)[0], g, cap)
+    assert cap_outcome(neighborliness, g, cap) == expected
+    assert neighborliness(g, 2 ** g.n) == level_scan(g)[0]
+
+
+def test_neighborliness_decides_the_capped_level_by_rank():
+    # At n = 60 the default cap falls inside level 5, the first level with
+    # a set of no common neighbor: the level scan's value, 4, must come
+    # from the rank-bounded search over 5-sets.
+    g = gnp_sample(60, 0.7, 1)
+    totals = scan_totals(60)
+    assert totals[4] <= 5_000_000 < totals[5]
+    assert neighborliness(g) == 4
+    with pytest.raises(ResourceCapError) as err:
+        neighborliness(g, work_cap=totals[4])
+    assert str(err.value) == \
+        f"neighborliness exceeded work cap {totals[4]} at level 5"
+    assert err.value.best == 4
+
+
+def test_neighborliness_cap_past_enumeration_reach():
+    # the level scan needs about 30 s here; this is its cap error verbatim
+    g = gnp_sample(100, 0.7, 0)
+    with pytest.raises(ResourceCapError) as err:
+        neighborliness(g)
+    assert str(err.value) == \
+        "neighborliness exceeded work cap 5000000 at level 5"
+    assert err.value.best == 4
+    with pytest.raises(ResourceCapError) as err:
+        neighborliness_chromatic_bound(g)
+    assert str(err.value) == \
+        "neighborliness exceeded work cap 5000000 at level 5"
+    assert err.value.best == 5
 
 
 def test_neighborliness_bounds_small_face_counts():

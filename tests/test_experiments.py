@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from nbcomplex import certificates, complexes, experiments, graphs
+from nbcomplex import (certificates, complexes, experiments, graphs,
+                       homology)
 from nbcomplex import (Caps, ExperimentConfig, FormatError, SurveySummary,
                        TrialRecord, aggregate, betti_sweep, clique_number,
                        closed_set_poset, count_strict_local_maxima,
@@ -130,6 +131,45 @@ def test_trials_do_not_build_the_hasse_diagram(monkeypatch):
         poset = closed_set_poset(gnp_sample(cfg.n, r.p, r.seed))
         assert (r.closed_set_count, r.retract_dimension) == \
             (len(poset.elements), poset.height)
+
+
+def test_homology_off_trials_do_not_build_the_complex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a homology-off trial built N[G]")
+
+    # patched where it is defined and wherever a module imported it
+    for module in (complexes, homology, experiments):
+        monkeypatch.setattr(module, "neighborhood_complex", refuse,
+                            raising=False)
+    cfg = tiny_config(n=8, p_grid=(0.0, 0.1, 0.25, 0.5, 1.0), trials=6,
+                      homology=False, neighborliness=True,
+                      certificates=True, clique_stats=True)
+    records = run_survey(cfg, jobs=1)
+    monkeypatch.undo()
+    flags = set()
+    for r in records:
+        c = complexes.neighborhood_complex(gnp_sample(cfg.n, r.p, r.seed))
+        assert r.complex_connected == (c.component_count() <= 1)
+        assert r.empty_complex == (c.dimension == -1)
+        flags.add((r.complex_connected, r.empty_complex))
+    assert flags == {(True, True), (False, False), (True, False)}
+
+
+def test_a_homology_trial_builds_the_complex_once(monkeypatch):
+    calls = []
+    build = complexes.neighborhood_complex
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    for module in (complexes, homology, experiments):
+        monkeypatch.setattr(module, "neighborhood_complex", counted,
+                            raising=False)
+    r = run_trial(tiny_config(n=8, p_grid=(0.4,), trials=1), 0, 0)
+    monkeypatch.undo()
+    assert r.betti is not None
+    assert len(calls) == 1
 
 
 def test_a_trial_enumerates_maximal_cliques_once(monkeypatch):

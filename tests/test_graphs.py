@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,20 @@ def test_duplicate_and_reversed_edges_collapse():
 def test_edges_enumerate_in_lexicographic_order():
     g = Graph.from_edges(4, [(2, 3), (0, 3), (0, 1)])
     assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
+
+
+def test_adjacency_masks_are_built_once_and_stay_out_of_identity():
+    g = gnp_sample(12, 0.5, 7)
+    twin = Graph.from_edges(12, list(g.edges()))
+    pickled = pickle.dumps(g)
+    masks = g.adjacency_masks()
+    assert g.adjacency_masks() is masks
+    assert masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(12))
+    # twin never built its masks
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert pickle.dumps(g) == pickled == pickle.dumps(twin)
+    back = pickle.loads(pickled)
+    assert back == g and back.adjacency_masks() == masks
 
 
 @settings(max_examples=60)
