@@ -23,8 +23,8 @@ from .experiments import (ExperimentConfig, aggregate, betti_sweep,
                           records_to_csv, records_to_jsonl, run_survey)
 from .graphs import (density, from_family_spec, gnp_sample, parse_edge_list,
                      serialize_edge_list)
-from .homology import (AtLeast, betti_field2, core_boundary_matrices,
-                       graph_homology, homology_integer)
+from .homology import (AtLeast, core_boundary_matrices, graph_homology,
+                       homology_integer)
 
 _FEATURES = ("homology", "neighborliness", "certificates", "cliques")
 
@@ -106,30 +106,24 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    if args.facets is None and args.coeff != "f2":
+    with_field2 = args.coeff != "z"
+    if args.facets is None:
         result, source = graph_homology(_load_graph(args),
                                         max_dim=args.max_dim,
-                                        with_field2=args.coeff == "both")
-        out = result.to_json_dict()
+                                        with_field2=with_field2)
     else:
-        if args.facets is None:
-            comp = neighborhood_complex(_load_graph(args))
-            source = "direct"
-        else:
-            if any(getattr(args, k) is not None
-                   for k in ("input", "family", "gnp")):
-                raise ValueError("--facets replaces the graph sources")
-            with open(args.facets, encoding="utf-8") as fh:
-                comp = parse_facet_list(fh.read())
-            source = "facets"
-        data = core_boundary_matrices(comp, max_dim=args.max_dim)
-        if args.coeff == "f2":
-            out = {"betti": None, "torsion": None,
-                   "field2": list(betti_field2(data)),
-                   "truncated": data.truncated}
-        else:
-            out = homology_integer(
-                data, with_field2=args.coeff == "both").to_json_dict()
+        if any(getattr(args, k) is not None
+               for k in ("input", "family", "gnp")):
+            raise ValueError("--facets replaces the graph sources")
+        with open(args.facets, encoding="utf-8") as fh:
+            comp = parse_facet_list(fh.read())
+        result = homology_integer(
+            core_boundary_matrices(comp, max_dim=args.max_dim),
+            with_field2=with_field2)
+        source = "facets"
+    out = result.to_json_dict()
+    if args.coeff == "f2":
+        out["betti"] = out["torsion"] = None
     out["source"] = source
     _emit_json(out, args.output)
     return 0

@@ -36,23 +36,19 @@ class Caps:
     ``faces_per_dim`` caps the total face count of the neighborhood
     complex's strong core over dimensions 0..max_dim+1, not each dimension
     on its own; the name is kept because it appears in every summary's
-    config echo.  ``poset_vertices`` and ``poset_elements`` cap
-    ``closed_set_stats``, which gives the ``closed_sets`` and
-    ``retract_dim`` record fields; ``poset_vertices`` matches
-    ``capped_homology_vertices``, so every homology survey gets those
-    fields and the element cap alone bounds the work.  ``clique_vertices``
+    config echo.  ``poset_elements`` caps ``closed_set_stats``, which gives
+    the ``closed_sets`` and ``retract_dim`` record fields; its vertex bound
+    is ``capped_homology_vertices``, the bound every homology survey already
+    meets, so the element cap alone bounds the work.  ``clique_vertices``
     caps the one maximal-clique enumeration that serves both the clique
     number and the certificates.  ``neighborliness_steps`` still counts the
     steps of a level-by-level scan of the i-subsets in lexicographic order;
     ``neighborliness`` no longer takes those steps, but returns or raises
     exactly where that scan would, so the same trials are capped.
-    ``retract_chains`` feeds nothing and stays only for that echo.
     """
 
     clique_vertices: int = 64
-    poset_vertices: int = 30
     poset_elements: int = 20_000
-    retract_chains: int = 500_000
     neighborliness_steps: int = 5_000_000
     faces_per_dim: int = 500_000
     full_homology_vertices: int = 12
@@ -182,7 +178,7 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     if cfg.homology:
         try:
             closed_count, retract_dim = closed_set_stats(
-                g, vertex_cap=caps.poset_vertices,
+                g, vertex_cap=caps.capped_homology_vertices,
                 element_cap=caps.poset_elements)
         except ResourceCapError as err:
             # records have always named the poset here; keep the prefix
@@ -387,63 +383,117 @@ def betti_sweep(n: int, p_grid: Sequence[float], trials: int,
 # ---------------------------------------------------------------------------
 # serialization
 
-_RECORD_KEYS = ("trial", "p", "edges", "p_index", "seed", "connected",
-                "empty", "clique_number", "neighborliness", "closed_sets",
-                "retract_dim", "homology_source", "torsion_seen", "betti",
-                "certificates", "errors")
+
+@dataclass(frozen=True)
+class _Kind:
+    """The type of one record field: a scalar type (a list's element
+    type), whether the field may be null, and whether it is a list."""
+
+    scalar: type
+    optional: bool = False
+    listed: bool = False
+
+    def check(self, value, key: str):
+        """The record value for a decoded value; ValueError if its type is
+        wrong.  A list becomes a tuple, and an int is taken for a float."""
+        if value is None:
+            if self.optional:
+                return None
+            raise ValueError(f"{key} must not be null")
+        scalar = self.scalar
+        if not self.listed:
+            if type(value) is scalar:
+                return value
+            return _coerce(scalar, value, key)
+        if type(value) is not list:
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        return tuple(v if type(v) is scalar else _coerce(scalar, v, key)
+                     for v in value)
+
+    def to_cell(self, value) -> str:
+        if value is None:
+            return ""
+        fmt = _FORMAT[self.scalar]
+        if self.listed:
+            return "[" + ";".join(_escape(fmt(v)) for v in value) + "]"
+        return fmt(value)
+
+    def from_cell(self, text: str, key: str):
+        """The record value for a CSV cell.  A parsed scalar has the kind's
+        type by construction; null and lists go through :meth:`check`."""
+        if text == "":
+            return self.check(None, key)
+        if not self.listed:
+            return self.parse(text, key)
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ValueError(f"{key} must be a bracketed list, got {text!r}")
+        return self.check([self.parse(t, key)
+                           for t in _split_list(text[1:-1], key)], key)
+
+    def parse(self, text: str, key: str):
+        """One scalar parsed from CSV text; ValueError naming the key."""
+        try:
+            return _PARSE[self.scalar](text)
+        except ValueError:
+            raise ValueError(f"{key} must be {self.scalar.__name__}, "
+                             f"got {text!r}") from None
 
 
-def _record_to_dict(r: TrialRecord) -> dict:
-    return {
-        "trial": r.trial_index,
-        "p": r.p,
-        "edges": r.edge_count,
-        "p_index": r.p_index,
-        "seed": r.seed,
-        "connected": r.complex_connected,
-        "empty": r.empty_complex,
-        "clique_number": r.clique_number,
-        "neighborliness": r.neighborliness,
-        "closed_sets": r.closed_set_count,
-        "retract_dim": r.retract_dimension,
-        "homology_source": r.homology_source,
-        "torsion_seen": r.torsion_seen,
-        "betti": list(r.betti) if r.betti is not None else None,
-        "certificates": (list(r.certificates)
-                         if r.certificates is not None else None),
-        "errors": list(r.errors),
-    }
+def _coerce(scalar: type, value, key: str):
+    """An int taken for a float; any other type mismatch is an error."""
+    if scalar is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be {scalar.__name__}, got {value!r}")
 
 
-def _record_from_dict(d: dict, line: int) -> TrialRecord:
-    if set(d) != set(_RECORD_KEYS):
-        missing = set(_RECORD_KEYS) - set(d)
-        extra = set(d) - set(_RECORD_KEYS)
-        raise FormatError(
-            f"record schema mismatch (missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)})", line)
-    try:
-        return TrialRecord(
-            trial_index=d["trial"], p_index=d["p_index"], p=d["p"],
-            seed=d["seed"], edge_count=d["edges"],
-            complex_connected=d["connected"], empty_complex=d["empty"],
-            clique_number=d["clique_number"],
-            neighborliness=d["neighborliness"],
-            closed_set_count=d["closed_sets"],
-            retract_dimension=d["retract_dim"],
-            homology_source=d["homology_source"],
-            betti=tuple(d["betti"]) if d["betti"] is not None else None,
-            torsion_seen=d["torsion_seen"],
-            certificates=(tuple(d["certificates"])
-                          if d["certificates"] is not None else None),
-            errors=tuple(d["errors"]))
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"bad record value: {exc}", line) from None
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"bad boolean {text!r}")
+    return text == "true"
+
+
+_FORMAT = {int: str, float: repr, str: str,
+           bool: lambda b: "true" if b else "false"}
+_PARSE = {int: int, float: float, str: str, bool: _parse_bool}
+
+_INT, _FLOAT, _BOOL = _Kind(int), _Kind(float), _Kind(bool)
+_OPT_INT, _OPT_BOOL, _OPT_STR = (_Kind(t, optional=True)
+                                 for t in (int, bool, str))
+_OPT_INT_LIST = _Kind(int, optional=True, listed=True)
+_STR_LIST = _Kind(str, listed=True)
+
+# The one spelling of the trial-record schema: (JSON key, TrialRecord
+# attribute, kind).  Its order is the JSONL key order and the CSV column
+# order; in CSV the _SPREAD field fills the columns betti0..betti{w-1}.
+_RECORD_FIELDS = (
+    ("trial", "trial_index", _INT),
+    ("p", "p", _FLOAT),
+    ("edges", "edge_count", _INT),
+    ("p_index", "p_index", _INT),
+    ("seed", "seed", _INT),
+    ("connected", "complex_connected", _BOOL),
+    ("empty", "empty_complex", _BOOL),
+    ("clique_number", "clique_number", _OPT_INT),
+    ("neighborliness", "neighborliness", _OPT_INT),
+    ("closed_sets", "closed_set_count", _OPT_INT),
+    ("retract_dim", "retract_dimension", _OPT_INT),
+    ("homology_source", "homology_source", _OPT_STR),
+    ("torsion_seen", "torsion_seen", _OPT_BOOL),
+    ("betti", "betti", _OPT_INT_LIST),
+    ("certificates", "certificates", _OPT_INT_LIST),
+    ("errors", "errors", _STR_LIST),
+)
+_RECORD_KEYS = frozenset(key for key, _, _ in _RECORD_FIELDS)
+_SPREAD = "betti"
 
 
 def records_to_jsonl(records: Sequence[TrialRecord]) -> str:
     return "".join(
-        json.dumps(_record_to_dict(r), separators=(",", ":")) + "\n"
+        json.dumps({key: getattr(r, attr) for key, attr, _ in _RECORD_FIELDS},
+                   separators=(",", ":")) + "\n"
         for r in records)
 
 
@@ -458,31 +508,52 @@ def records_from_jsonl(text: str) -> list[TrialRecord]:
             raise FormatError(f"bad JSON: {exc}", lineno) from None
         if not isinstance(d, dict):
             raise FormatError("record line is not an object", lineno)
-        out.append(_record_from_dict(d, lineno))
+        if d.keys() != _RECORD_KEYS:
+            raise FormatError(
+                f"record schema mismatch (missing "
+                f"{sorted(_RECORD_KEYS - d.keys())}, unexpected "
+                f"{sorted(d.keys() - _RECORD_KEYS)})", lineno)
+        try:
+            out.append(TrialRecord(**{attr: kind.check(d[key], key)
+                                      for key, attr, kind in _RECORD_FIELDS}))
+        except ValueError as exc:
+            raise FormatError(f"bad record value: {exc}", lineno) from None
     return out
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return "[" + ";".join(str(v) for v in value) + "]"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace(";", "\\;")
 
 
-def _uncell_list(text: str, line: int) -> Optional[tuple]:
-    if text == "":
-        return None
-    if not (text.startswith("[") and text.endswith("]")):
-        raise FormatError(f"expected bracketed list, got {text!r}", line)
-    inner = text[1:-1]
+def _split_list(inner: str, key: str) -> list[str]:
+    """The elements of a list cell's inside, split on unescaped ';'."""
     if not inner:
-        return ()
-    return tuple(inner.split(";"))
+        return []
+    parts, cur = [], []
+    chars = iter(inner)
+    for ch in chars:
+        if ch == "\\":
+            ch = next(chars, None)
+            if ch is None:
+                raise ValueError(f"{key} has a dangling escape in {inner!r}")
+            cur.append(ch)
+        elif ch == ";":
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+def _csv_header(width: int) -> list[str]:
+    header = []
+    for key, _, _ in _RECORD_FIELDS:
+        if key == _SPREAD:
+            header.extend(f"{key}{k}" for k in range(width))
+        else:
+            header.append(key)
+    return header
 
 
 def records_to_csv(records: Sequence[TrialRecord]) -> str:
@@ -490,21 +561,19 @@ def records_to_csv(records: Sequence[TrialRecord]) -> str:
     if len(widths) > 1:
         raise ValueError(f"records carry mixed betti widths {sorted(widths)}")
     width = widths.pop() if widths else 0
-    header = list(_RECORD_KEYS[:13])
-    header.extend(f"betti{k}" for k in range(width))
-    header.extend(["certificates", "errors"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(_csv_header(width))
     for r in records:
-        d = _record_to_dict(r)
-        row = [_cell(d[k]) for k in _RECORD_KEYS[:13]]
-        if r.betti is None:
-            row.extend("" for _ in range(width))
-        else:
-            row.extend(str(b) for b in r.betti)
-        row.append(_cell(d["certificates"]))
-        row.append(_cell(d["errors"]))
+        row = []
+        for key, attr, kind in _RECORD_FIELDS:
+            value = getattr(r, attr)
+            if key != _SPREAD:
+                row.append(kind.to_cell(value))
+            elif value is None:
+                row.extend([""] * width)
+            else:
+                row.extend(map(_FORMAT[kind.scalar], value))
         writer.writerow(row)
     return buf.getvalue()
 
@@ -515,56 +584,30 @@ def records_from_csv(text: str) -> list[TrialRecord]:
         header = next(reader)
     except StopIteration:
         raise FormatError("empty CSV") from None
-    base = list(_RECORD_KEYS[:13])
-    if header[:13] != base or header[-2:] != ["certificates", "errors"]:
+    width = len(header) - len(_RECORD_FIELDS) + 1
+    if width < 0 or header != _csv_header(width):
         raise FormatError("unexpected CSV header")
-    betti_cols = header[13:-2]
-    if betti_cols != [f"betti{k}" for k in range(len(betti_cols))]:
-        raise FormatError("unexpected betti columns in CSV header")
-
-    def opt_int(s: str) -> Optional[int]:
-        return None if s == "" else int(s)
-
-    def opt_bool(s: str) -> Optional[bool]:
-        if s == "":
-            return None
-        if s not in ("true", "false"):
-            raise ValueError(f"bad boolean {s!r}")
-        return s == "true"
-
     out = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(header):
-            raise FormatError(
-                f"expected {len(header)} cells, got {len(row)}", lineno)
-        vals = dict(zip(header, row))
+            raise FormatError(f"expected {len(header)} cells, got {len(row)}",
+                              reader.line_num)
+        cells = iter(row)
+        values = {}
         try:
-            bcells = [vals[c] for c in betti_cols]
-            if bcells and bcells[0] != "":
-                betti = tuple(int(b) for b in bcells)
-            else:
-                betti = None
-            certs = _uncell_list(vals["certificates"], lineno)
-            errs = _uncell_list(vals["errors"], lineno)
-            out.append(TrialRecord(
-                trial_index=int(vals["trial"]), p_index=int(vals["p_index"]),
-                p=float(vals["p"]), seed=int(vals["seed"]),
-                edge_count=int(vals["edges"]),
-                complex_connected=opt_bool(vals["connected"]),
-                empty_complex=opt_bool(vals["empty"]),
-                clique_number=opt_int(vals["clique_number"]),
-                neighborliness=opt_int(vals["neighborliness"]),
-                closed_set_count=opt_int(vals["closed_sets"]),
-                retract_dimension=opt_int(vals["retract_dim"]),
-                homology_source=vals["homology_source"] or None,
-                betti=betti, torsion_seen=opt_bool(vals["torsion_seen"]),
-                certificates=(tuple(int(c) for c in certs)
-                              if certs is not None else None),
-                errors=tuple(errs) if errs is not None else ()))
+            for key, attr, kind in _RECORD_FIELDS:
+                if key != _SPREAD:
+                    values[attr] = kind.from_cell(next(cells), key)
+                    continue
+                spread = [next(cells) for _ in range(width)]
+                values[attr] = kind.check(
+                    [kind.parse(c, key) for c in spread]
+                    if any(spread) else None, key)
         except ValueError as exc:
-            raise FormatError(f"bad cell: {exc}", lineno) from None
+            raise FormatError(f"bad cell: {exc}", reader.line_num) from None
+        out.append(TrialRecord(**values))
     return out
 
 

@@ -17,8 +17,8 @@ integer combinations of the kept ones (see :func:`homology_integer`); the
 column lattice and every invariant factor stay the same, whether or not the
 map above left a residue.  GF(2) ranks are read off the same invariant
 factors as the number of odd ones.  Bitset elimination over GF(2)
-(:func:`betti_field2`) serves GF(2)-only requests and is the independent
-check.
+(:func:`betti_field2`) is no route of its own: it stays only as the tests'
+independent check.
 """
 
 from __future__ import annotations

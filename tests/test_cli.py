@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from nbcomplex import (ExperimentConfig, complete_graph, gnp_sample,
-                       parse_edge_list, parse_facet_list, records_from_csv,
-                       records_from_jsonl, run_survey)
+from nbcomplex import (ExperimentConfig, betti_field2, boundary_matrices,
+                       complete_graph, core_boundary_matrices, gnp_sample,
+                       neighborhood_complex, parse_edge_list,
+                       parse_facet_list, records_from_csv, records_from_jsonl,
+                       run_survey)
 from nbcomplex import cli
 from nbcomplex.cli import main
 
@@ -162,6 +164,44 @@ def test_homology_gf2_only_on_a_graph_reports_its_width(capsys):
     assert payload == {"betti": None, "torsion": None,
                        "field2": [1, 0, 0, 0], "truncated": False,
                        "source": "direct"}
+
+
+# --coeff f2 reads the GF(2) Betti numbers off the integer invariant
+# factors; the bitset elimination over GF(2) is the independent check.
+# Small graphs suffice for the wiring: the two routes' agreement is a
+# property test in test_homology.py.
+@pytest.mark.parametrize("n, p, seed", [(14, 0.5, 1), (16, 0.5, 2),
+                                        (18, 0.6, 3)])
+def test_homology_gf2_of_a_graph_matches_the_bitset_elimination(
+        capsys, n, p, seed):
+    code, out, _ = run_cli(capsys, "homology", "--gnp", str(n), str(p),
+                           str(seed), "--coeff", "f2")
+    assert code == 0
+    data = core_boundary_matrices(neighborhood_complex(gnp_sample(n, p, seed)))
+    assert json.loads(out) == {"betti": None, "torsion": None,
+                               "field2": list(betti_field2(data)),
+                               "truncated": data.truncated,
+                               "source": "direct"}
+
+
+# RP^2 on six vertices: H~_1 = Z/2, so GF(2) sees classes in dimensions 1
+# and 2 that the free ranks over Z do not
+RP2_FACETS = ("dim 2\n0 1 4\n0 1 5\n0 2 3\n0 2 5\n0 3 4\n1 2 3\n1 2 4\n"
+              "1 3 5\n2 4 5\n3 4 5\n")
+
+
+def test_homology_gf2_of_a_facet_file_matches_the_bitset_elimination(
+        tmp_path, capsys):
+    fpath = tmp_path / "rp2.txt"
+    fpath.write_text(RP2_FACETS)
+    code, out, _ = run_cli(capsys, "homology", "--facets", str(fpath),
+                           "--coeff", "f2")
+    assert code == 0
+    oracle = betti_field2(boundary_matrices(parse_facet_list(RP2_FACETS)))
+    assert oracle == (0, 1, 1)
+    assert json.loads(out) == {"betti": None, "torsion": None,
+                               "field2": list(oracle), "truncated": False,
+                               "source": "facets"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +108,7 @@ def test_run_trial_records_cap_hits_as_errors():
     # caps small enough to fail mid-run but large enough to pass config
     # validation: the poset overflows its element budget and the strong
     # core's faces overflow the face budget
-    caps = Caps(poset_elements=2, retract_chains=2, faces_per_dim=2)
+    caps = Caps(poset_elements=2, faces_per_dim=2)
     cfg = tiny_config(p_grid=(0.9,), caps=caps)
     r = run_trial(cfg, 0, 0)
     assert r.errors
@@ -407,6 +410,133 @@ def test_csv_reports_bad_cells_with_line_numbers():
     assert "line 2" in str(err.value)
     with pytest.raises(FormatError):
         records_from_csv("not,a,real,header\n")
+
+
+# the clique cap's message contains ';', the CSV list separator
+CAPPED_N7 = ExperimentConfig(
+    n=7, p_grid=(0.3, 0.5, 0.9), trials=20, master_seed=3, max_dim=3,
+    clique_stats=True, certificates=True, neighborliness=True,
+    caps=Caps(clique_vertices=6))
+
+
+def test_csv_round_trips_error_messages_that_contain_semicolons():
+    records = run_survey(CAPPED_N7)
+    assert all(len(r.errors) == 2 and all(";" in e for e in r.errors)
+               for r in records)
+    text = records_to_csv(records)
+    assert r"(got 7)\; raise" in text
+    assert records_from_csv(text) == records
+
+
+def test_csv_list_cells_escape_backslashes():
+    r = replace(run_survey(tiny_config(trials=1, p_grid=(0.5,)))[0],
+                errors=("a\\;b", "c\\", ";", ""))
+    assert records_from_csv(records_to_csv([r])) == [r]
+
+
+# sha256 of the JSONL and CSV bytes; a CSV digest of None means the config's
+# CSV changed on purpose when list cells began escaping ';'
+GOLDEN = {
+    "capped_n7": (
+        CAPPED_N7,
+        "0e886ac46b606f2cce6b9ec859a7b7e9029b8b5ab914ec04bf185d74e063ae8e",
+        None),
+    "full_n10": (
+        ExperimentConfig(n=10, p_grid=(0, .4, .7, 1), trials=30,
+                         master_seed=5, max_dim=4, clique_stats=True,
+                         certificates=True, neighborliness=True),
+        "44274c9c3b76a3016a6d715d0f380309b2b367b891bbd10d80e0ad6748c479dd",
+        "b93501c8c50ba3bb218cc3877bbc94b24bb19073f5957138ef9b9b37c892af42"),
+    "facecap_n14": (
+        ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
+                         max_dim=2, clique_stats=True,
+                         caps=Caps(faces_per_dim=300)),
+        "76c19e3e9b75c58cdc266555498b9aa2da2f6cadbc62c433999f252937e863aa",
+        "011ff094c1c93f83b57e48bb190ecde60e0468a6181653e3e0a52c44cc11ff4f"),
+    "nohom_n30": (
+        ExperimentConfig(n=30, p_grid=(.3, .5), trials=20, master_seed=1,
+                         homology=False, clique_stats=True,
+                         certificates=True, neighborliness=True),
+        "7a726de548191c4c9f596ae2d3b4ea407a63fd751d14760e8a412d118ff67286",
+        "e485108f7822010e8fde3b51af8e307968fdd5f15af35b6311fc5e2b37bd61cf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_record_bytes_match_their_golden_digests(name):
+    cfg, jsonl_digest, csv_digest = GOLDEN[name]
+    records = run_survey(cfg)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(records_to_jsonl(records)) == jsonl_digest
+    if csv_digest is not None:
+        assert digest(records_to_csv(records)) == csv_digest
+
+
+# one value of the wrong type per field kind, and the kind it breaks
+BAD_VALUES = [
+    ("trial", "x"),            # int
+    ("seed", True),            # int: a bool is not an int
+    ("p", "0.5"),              # float
+    ("p", 10 ** 400),          # float: an int too large for one
+    ("connected", 1),          # bool
+    ("connected", None),       # bool: not optional
+    ("clique_number", 2.0),    # optional int
+    ("torsion_seen", "no"),    # optional bool
+    ("homology_source", 7),    # optional str
+    ("betti", "12"),           # optional int list
+    ("certificates", [1, "2"]),  # optional int list: its elements
+    ("errors", "ab"),          # str list
+    ("errors", None),          # str list: not optional
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_jsonl_rejects_values_of_the_wrong_type(key, value):
+    records = run_survey(tiny_config(trials=1, p_grid=(0.5,)))
+    good = json.loads(records_to_jsonl(records))
+    bad = dict(good, **{key: value})
+    text = json.dumps(good) + "\n" + json.dumps(bad) + "\n"
+    with pytest.raises(FormatError) as err:
+        records_from_jsonl(text)
+    assert "line 2" in str(err.value) and key in str(err.value)
+
+
+def test_jsonl_takes_an_int_probability_as_a_float():
+    records = run_survey(tiny_config(trials=1, p_grid=(1.0,)))
+    d = json.loads(records_to_jsonl(records))
+    d["p"] = 1
+    (back,) = records_from_jsonl(json.dumps(d))
+    assert back == records[0] and type(back.p) is float
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("trial", "x"),
+    ("p", "0.5.0"),
+    ("connected", ""),            # bool is not optional in CSV either
+    ("torsion_seen", "yes"),
+    ("certificates", "[1;x]"),
+    ("errors", ""),
+    ("errors", "[a\\]"),          # a dangling escape
+])
+def test_csv_applies_the_same_checks(column, cell):
+    text = records_to_csv(run_survey(tiny_config(trials=1, p_grid=(0.5,),
+                                                 certificates=True)))
+    header, row = (line.split(",") for line in text.strip().split("\n"))
+    row[header.index(column)] = cell
+    with pytest.raises(FormatError) as err:
+        records_from_csv(",".join(header) + "\n" + ",".join(row) + "\n")
+    assert "line 2" in str(err.value) and column in str(err.value)
+
+
+def test_every_cap_is_read_by_the_package():
+    package = Path(experiments.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        read.update(re.findall(r"\bcaps\.(\w+)", path.read_text()))
+    assert {f.name for f in fields(Caps)} <= read
 
 
 def test_write_and_read_files(tmp_path):
