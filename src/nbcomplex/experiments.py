@@ -569,7 +569,11 @@ def records_to_csv(records: Sequence[TrialRecord]) -> str:
         for key, attr, kind in _RECORD_FIELDS:
             value = getattr(r, attr)
             if key != _SPREAD:
-                row.append(kind.to_cell(value))
+                cell = kind.to_cell(value)
+                if cell == "[]" and value:
+                    raise ValueError(f"{key} holds only an empty string, "
+                                     "which CSV writes as the empty list")
+                row.append(cell)
             elif value is None:
                 row.extend([""] * width)
             else:

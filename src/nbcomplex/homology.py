@@ -2,12 +2,9 @@
 
 Boundary matrices are built from the faces with the usual alternating sign
 convention, plus an augmentation row in degree zero so that Betti numbers
-come out reduced.  Integer ranks and torsion come from a two-phase Smith
-normal form in arbitrary-precision integers.  Its unit phase eliminates
-+-1 pivots first, sparsest row first, which keeps the fill-in of boundary
-matrices small and is exact over Z because a unit pivot needs no division;
-only the columns left without a unit entry go on to the general
-smallest-entry reduction and its divisibility pass.
+come out reduced.  Integer ranks and torsion come from an exact Smith
+normal form in arbitrary-precision integers; :func:`smith_normal_form`
+describes its two phases, unit pivots and then the residue.
 
 Integer homology reduces the boundary maps from the top dimension down and
 clears as it goes: a k-face that was a unit pivot row of the map on
@@ -23,7 +20,6 @@ independent check.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
@@ -84,12 +80,17 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     division or rounding ever happens.
 
     Columns that held no +-1 entry when their turn came form the residue,
-    which goes to the general reduction: it picks the entry of smallest
-    absolute value (ties broken by position) as pivot, clears its row and
-    column with exact integer row and column operations, and finally
-    normalizes the residue's diagonal to the divisibility chain
-    d1 | d2 | ... via pairwise gcd/lcm swaps.  The unit factors divide
-    everything, so they lead the chain without entering that pass.
+    and the residue phase works on the same columns.  Its pivot is the
+    live entry v of least absolute value (ties to the smaller row, then
+    the smaller column).  Column operations reduce the other entries of
+    v's row modulo v; once v is alone in its row, a row operation changes
+    only v's column, so that column is reduced modulo v too.  A nonzero
+    remainder is smaller than |v| and becomes the next pivot; a v alone
+    in its row and its column is an invariant factor.  One pass of gcd/lcm
+    swaps over the pairs i < j of those factors then makes the chain
+    d1 | d2 | ...: after pairing with every later entry, d_i divides them
+    all, and later swaps keep that.  The unit factors divide everything,
+    so they lead the chain without entering that pass.
 
     :func:`homology_integer` runs the same reduction and also keeps the
     unit phase's pivot rows.  With the pivot columns they span a square
@@ -139,86 +140,42 @@ def _smith_reduce(cols: list[dict]
         pivot_rows.append(r)
     units = len(pivot_rows)
 
-    rows: dict[int, dict[int, int]] = {}
-    colrows: dict[int, set] = {}
-    heap: list[tuple[int, int, int]] = []
-
-    def push(r: int, c: int, v: int) -> None:
-        heapq.heappush(heap, (abs(v), r, c))
-
-    residue = [col for col in cols if col]
-    for c, col in enumerate(residue):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-            colrows.setdefault(c, set()).add(r)
-            push(r, c, v)
-
-    def write(r: int, c: int, v: int) -> None:
-        if v:
-            rows.setdefault(r, {})[c] = v
-            colrows.setdefault(c, set()).add(r)
-            push(r, c, v)
-        else:
-            row = rows.get(r)
-            if row is not None and c in row:
-                del row[c]
-                if not row:
-                    del rows[r]
-                rs = colrows[c]
-                rs.discard(r)
-                if not rs:
-                    del colrows[c]
-
-    def row_axpy(dst: int, src: int, coef: int) -> None:
-        for c, v in list(rows.get(src, {}).items()):
-            write(dst, c, rows.get(dst, {}).get(c, 0) + coef * v)
-
-    def col_axpy(dst: int, src: int, coef: int) -> None:
-        for r in list(colrows.get(src, set())):
-            v = rows[r][src]
-            write(r, dst, rows.get(r, {}).get(dst, 0) + coef * v)
-
     diag: list[int] = []
-    while heap:
-        a, r, c = heapq.heappop(heap)
-        v = rows.get(r, {}).get(c)
-        if v is None or abs(v) != a:
-            continue  # stale heap entry
-        clean = True
-        for r2 in sorted(colrows.get(c, set()) - {r}):
-            q = rows[r2][c] // v
-            if q:
-                row_axpy(r2, r, -q)
-            if rows.get(r2, {}).get(c):
-                clean = False  # remainder smaller than |v| remains
-        if not clean:
-            push(r, c, v)
-            continue
-        for c2 in sorted(set(rows.get(r, {})) - {c}):
-            q = rows[r][c2] // v
-            if q:
-                col_axpy(c2, c, -q)
-            if rows.get(r, {}).get(c2):
-                clean = False
-        if not clean:
-            push(r, c, v)
-            continue
-        diag.append(abs(v))
-        write(r, c, 0)
+    while any(cols):
+        _, r, c = min((abs(v), i, j) for j, col in enumerate(cols)
+                      for i, v in col.items())
+        col = cols[c]
+        v = col[r]
+        for c2 in members[r] - {c}:
+            other = cols[c2]
+            q = other[r] // v  # nonzero: |v| is the least live entry
+            for i, a in col.items():
+                w = other.get(i, 0) - q * a
+                if w:
+                    other[i] = w
+                    members[i].add(c2)
+                else:
+                    del other[i]
+                    members[i].discard(c2)
+        if len(members[r]) > 1:
+            continue  # remainders smaller than |v| left in row r
+        for i in [i for i in col if i != r]:
+            w = col[i] % v  # row r is v alone, so only this entry changes
+            if w:
+                col[i] = w
+            else:
+                del col[i]
+                members[i].discard(c)
+        if len(col) == 1:
+            diag.append(abs(v))
+            col.clear()
+            members[r].discard(c)
 
-    vals = sorted(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i]:
-                    g = gcd(vals[i], vals[j])
-                    vals[i], vals[j] = g, vals[i] * vals[j] // g
-                    changed = True
-        if changed:
-            vals.sort()
-    return units + len(diag), (1,) * units + tuple(vals), pivot_rows
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return units + len(diag), (1,) * units + tuple(diag), pivot_rows
 
 
 # ---------------------------------------------------------------------------

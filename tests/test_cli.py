@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from nbcomplex import (ExperimentConfig, betti_field2, boundary_matrices,
-                       complete_graph, core_boundary_matrices, gnp_sample,
+from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_field2,
+                       boundary_matrices, complete_graph,
+                       core_boundary_matrices, facet_list_text, gnp_sample,
                        neighborhood_complex, parse_edge_list,
                        parse_facet_list, records_from_csv, records_from_jsonl,
                        run_survey)
 from nbcomplex import cli
 from nbcomplex.cli import main
+
+from test_homology import REFERENCE_COMPLEXES, REFERENCE_IDS
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +206,41 @@ def test_homology_gf2_of_a_facet_file_matches_the_bitset_elimination(
     assert json.loads(out) == {"betti": None, "torsion": None,
                                "field2": list(oracle), "truncated": False,
                                "source": "facets"}
+
+
+# sha256 of `homology --coeff both` output: "gnp" over 40 seeded G(n, p)
+# graphs (n = 6..16) concatenated, the others over one facet file each
+HOMOLOGY_GOLDEN = {
+    "gnp":
+        "e861b9c4efe21d244ded3f91953afde98024c6ef66405edcfc564589740d9dc5",
+    "rp2":
+        "04b789159c7aaa719fb1d08968a684b9dad11a7d91c1c6d7bd391556848ed9db",
+    "suspended-rp2":
+        "87120b98e94a0832661d04170843f9f697d3ae1a05fe3a3ab26e1311e469cf94",
+    "torus":
+        "44f263608d84c34993e171b514cc5f07105fb0626e5ad3eca393ca041895d0ec",
+}
+GOLDEN_GNP = [(6 + i % 11, (0.3, 0.45, 0.6, 0.75)[i % 4], 500 + i)
+              for i in range(40)]
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_GOLDEN))
+def test_homology_bytes_match_their_golden_digests(tmp_path, capsys, name):
+    if name == "gnp":
+        calls = [("--gnp", str(n), str(p), str(seed))
+                 for n, p, seed in GOLDEN_GNP]
+    else:
+        n, facets = dict(zip(REFERENCE_IDS, REFERENCE_COMPLEXES))[name]
+        fpath = tmp_path / "facets.txt"
+        fpath.write_text(facet_list_text(
+            SimplicialComplex.from_faces(n, facets)))
+        calls = [("--facets", str(fpath))]
+    text = ""
+    for source in calls:
+        code, out, _ = run_cli(capsys, "homology", *source, "--coeff", "both")
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == HOMOLOGY_GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,15 @@ def test_csv_list_cells_escape_backslashes():
     assert records_from_csv(records_to_csv([r])) == [r]
 
 
+def test_csv_refuses_a_list_of_one_empty_string():
+    # "[]" is the empty list, so ("",) has no cell of its own
+    r = replace(run_survey(tiny_config(trials=1, p_grid=(0.5,)))[0],
+                errors=("",))
+    with pytest.raises(ValueError, match="errors"):
+        records_to_csv([r])
+    assert records_from_jsonl(records_to_jsonl([r])) == [r]
+
+
 # sha256 of the JSONL and CSV bytes; a CSV digest of None means the config's
 # CSV changed on purpose when list cells began escaping ';'
 GOLDEN = {

@@ -76,10 +76,8 @@ def test_snf_matches_sympy_on_random_matrices(trial):
     nc = rng.randint(1, 6)
     rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
     rank, factors = smith_normal_form(sparse(rows))
-    ref = sympy_snf(Matrix(rows), domain=ZZ)
-    ref_factors = tuple(abs(ref[i, i]) for i in range(min(nr, nc))
-                        if ref[i, i] != 0)
-    assert rank == len(ref_factors)
+    ref_rank, ref_factors = sympy_invariants(rows, nc)
+    assert rank == ref_rank
     assert factors == ref_factors
 
 
@@ -95,14 +93,16 @@ def sympy_invariants(rows, ncols):
 
 # zero for sparsity; among the nonzeros mostly units, so the unit phase
 # pivots, and sometimes 2 or 3, so that columns reach the residue phase
-sparse_entries = st.sampled_from((0,) * 6 + (1, -1) * 4 + (2, -2, 3, -3))
+unit_heavy_entries = (0,) * 6 + (1, -1) * 4 + (2, -2, 3, -3)
+# no unit at all, so the residue phase takes the whole matrix
+unitless_entries = (0,) * 4 + (2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
 
 
 @st.composite
-def sparse_int_matrices(draw):
+def sparse_int_matrices(draw, entries=unit_heavy_entries):
     nr = draw(st.integers(0, 10))
     nc = draw(st.integers(0, 10))
-    row = st.lists(sparse_entries, min_size=nc, max_size=nc)
+    row = st.lists(st.sampled_from(entries), min_size=nc, max_size=nc)
     return draw(st.lists(row, min_size=nr, max_size=nr)), nc
 
 
@@ -113,8 +113,17 @@ def test_snf_matches_sympy_on_sparse_unit_heavy_matrices(drawn):
     assert smith_normal_form(sparse(rows)) == sympy_invariants(rows, nc)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices(unitless_entries))
+def test_snf_matches_sympy_on_matrices_without_units(drawn):
+    rows, nc = drawn
+    assert smith_normal_form(sparse(rows)) == sympy_invariants(rows, nc)
+
+
 @settings(max_examples=100, deadline=None)
-@given(sparse_int_matrices(), st.randoms(use_true_random=False))
+@given(st.one_of(sparse_int_matrices(),
+                 sparse_int_matrices(unitless_entries)),
+       st.randoms(use_true_random=False))
 def test_snf_is_invariant_under_row_and_column_permutations(drawn, rnd):
     rows, nc = drawn
     row_order = list(range(len(rows)))
