@@ -13,7 +13,13 @@ neighbors of X minus u (one prefix and one suffix pass of ANDs give C for
 every member u), the first u* is the lowest bit of the union of N(v) over
 v in C, outside X, and its v is the lowest bit of C & N(u*): O(|X| + |C|)
 word operations per index, and the same lexicographically first witness
-as a scan over all pairs.  Every public entry point uses that one search.
+as a scan over all pairs.  :func:`obstruction_test` and
+:func:`obstructed_clique_extension` run that search on every index they
+are asked about.  A certificate needs only to know whether an index is
+obstructed, and u itself lies in C: when N(u) reaches outside X, v = u
+with u* any such neighbor obstructs the index, so one AND against the
+clique's mask settles it, and only members whose whole neighborhood lies
+inside X get the full search (C is built the first time one turns up).
 A survey trial and :func:`bound_comparison` enumerate the maximal cliques
 once and share the list between the clique number, the certificates and,
 in the comparison, the exact coloring; the certificates skip the maximality
@@ -155,9 +161,18 @@ def _first_certificate(adj: Sequence[int],
     clique ``x``; None for a single vertex or a fully obstructed clique."""
     if len(x) < 2:
         return None
-    inside, commons = _clique_masks(adj, x)
-    for i, common in enumerate(commons):
-        if _search_obstruction(adj, common, inside) is None:
+    inside = 0
+    for u in x:
+        inside |= 1 << u
+    commons = None
+    for i, u in enumerate(x):
+        # u is a common neighbor of x minus u, so a neighbor of u outside
+        # x obstructs index i (v = u); only N(u) inside x needs the search
+        if adj[u] & ~inside:
+            continue
+        if commons is None:
+            commons = _clique_masks(adj, x)[1]
+        if _search_obstruction(adj, commons[i], inside) is None:
             return SphereCertificate(x, i, len(x) - 2)
     return None
 

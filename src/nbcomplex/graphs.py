@@ -55,11 +55,25 @@ class Graph:
             raise ValueError(f"edge query ({u}, {v}) out of range for n={self.n}")
         return v in self.adj[u]
 
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int]) -> "Graph":
+        """The graph whose adjacency bitmasks are ``masks`` (assumed
+        symmetric and loop-free), with its mask cache already filled.
+
+        Each neighbor set passes through a set, as in :meth:`from_edges`
+        with edges in lexicographic order, so the frozensets get the same
+        tables: the same iteration order, repr and pickle bytes.
+        """
+        g = cls(len(masks), tuple(frozenset(set(_bits(m))) for m in masks))
+        object.__setattr__(g, "_masks", tuple(masks))
+        return g
+
     def adjacency_masks(self) -> tuple[int, ...]:
         """``adj`` as int bitmasks: bit w of entry v is set iff vw is an edge.
 
-        Built on the first call and kept on the instance, outside the
-        dataclass fields, so equality, hashing, repr and pickles ignore it.
+        Built on the first call, or at construction by :func:`gnp_sample`,
+        and kept on the instance, outside the dataclass fields, so equality,
+        hashing, repr and pickles ignore it.
         """
         masks = self.__dict__.get("_masks")
         if masks is None:
@@ -259,6 +273,23 @@ def from_family_spec(spec: str) -> Graph:
 # seeded G(n, p)
 
 
+# splitmix64(t) for pair indices t = 0, 1, ...: the per-pair half of
+# mix64(seed, t), which no seed changes.  Never extended in place, only
+# rebound to a new tuple, so a thread reading it while another grows it
+# sees one whole table or the other, each a correct prefix.
+_pair_keys: tuple[int, ...] = ()
+
+
+def _pair_keys_upto(count: int) -> tuple[int, ...]:
+    """The pair-key table, grown to at least ``count`` keys if needed."""
+    global _pair_keys
+    keys = _pair_keys
+    if len(keys) < count:
+        keys += tuple(splitmix64(t) for t in range(len(keys), count))
+        _pair_keys = keys
+    return keys
+
+
 def gnp_sample(n: int, p: float, seed: int) -> Graph:
     """Sample G(n, p) deterministically.
 
@@ -266,18 +297,32 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     ``(seed, pair_index)`` where pair_index enumerates pairs (u, v), u < v,
     in lexicographic order.  The same arguments always give the same graph,
     independent of call order or platform.
+
+    ``mix64(seed, t) == splitmix64(mix64(seed) ^ splitmix64(t))``, so the
+    seed is hashed once per call and ``splitmix64(t)`` once per process:
+    a module-level table keeps those keys, C(n, 2) ints for the largest n
+    sampled so far, and each pair costs one ``splitmix64``.  The draws are
+    written straight into adjacency bitmasks, which also fill the graph's
+    :meth:`Graph.adjacency_masks` cache.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability out of range: {p}")
     threshold = unit_threshold(p)
-    # mix64(seed, t) == splitmix64(mix64(seed) ^ splitmix64(t)): hash the
-    # seed once, not once per pair
     h = mix64(seed)
-    edges = [pair for t, pair in enumerate(combinations(range(n), 2))
-             if splitmix64(h ^ splitmix64(t)) < threshold]
-    return Graph.from_edges(n, edges)
+    keys = _pair_keys_upto(n * (n - 1) // 2)
+    masks = [0] * n
+    t = 0
+    for u in range(n):
+        row = 0
+        for v in range(u + 1, n):
+            if splitmix64(h ^ keys[t]) < threshold:
+                row |= 1 << v
+                masks[v] |= 1 << u
+            t += 1
+        masks[u] |= row
+    return Graph._from_masks(masks)
 
 
 def derive_trial_seed(master_seed: int, p_index: int, trial_index: int) -> int:
@@ -289,14 +334,19 @@ def derive_trial_seed(master_seed: int, p_index: int, trial_index: int) -> int:
 # cliques
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending.
+
+    A list, not a tuple: CPython keeps up to 2,000 freed tuples of each
+    small size for reuse, so a throwaway tuple per sampled vertex would
+    leave that much memory held after the graphs are gone.
+    """
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return tuple(out)
+    return out
 
 
 def _expand(adj: Sequence[int], r: int, p: int, x: int,
@@ -304,7 +354,7 @@ def _expand(adj: Sequence[int], r: int, p: int, x: int,
     """Report every maximal clique that contains ``r``, extends it from
     ``p`` and avoids ``x`` (all three are vertex bitmasks)."""
     if not p and not x:
-        out.append(_bits(r))
+        out.append(tuple(_bits(r)))
         return
     pivot, best = -1, -1
     px = p | x

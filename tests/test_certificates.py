@@ -298,6 +298,68 @@ def test_obstruction_test_matches_a_plain_double_loop():
     assert blocked > 0 and free > 0  # the samples reach both outcomes
 
 
+def all_index_certificate(adj, x):
+    """The search over every index, each through ``_search_obstruction``:
+    the oracle for ``_first_certificate``, which searches only members whose
+    whole neighborhood lies inside the clique."""
+    if len(x) < 2:
+        return None
+    inside, commons = certificates._clique_masks(adj, x)
+    for i, common in enumerate(commons):
+        if certificates._search_obstruction(adj, common, inside) is None:
+            return SphereCertificate(x, i, len(x) - 2)
+    return None
+
+
+def certificate_search_graphs():
+    """Seeded G(n, p) for n = 2..14, sparse to dense, and the named graphs
+    whose cliques have members with no neighbor outside the clique."""
+    seeded = [gnp_sample(n, p, 8_000 + 100 * n + int(100 * p) + t)
+              for n in range(2, 15)
+              for p in (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95)
+              for t in range(3)]
+    named = [graphs.from_family_spec(s)
+             for s in ("complete:2", "complete:5", "cycle:5", "kneser:5,2",
+                       "xn:3")]
+    return seeded + named
+
+
+def test_first_certificate_matches_the_all_index_search():
+    searched = free = 0
+    for g in certificate_search_graphs():
+        adj = g.adjacency_masks()
+        cliques = graphs.maximal_cliques(g, vertex_cap=g.n)
+        want = []
+        for x in cliques:
+            cert = all_index_certificate(adj, x)
+            assert sphere_certificate(g, x) == cert
+            if cert is not None:
+                want.append(SphereCertificate(x, cert.retract_index,
+                                              cert.sphere_dim, validated=True))
+            inside = sum(1 << u for u in x)
+            searched += len(x) >= 2 and any(not adj[u] & ~inside for u in x)
+            free += cert is not None
+        want.sort(key=lambda c: (-c.sphere_dim, c.clique))
+        assert certificates._certificates_from_cliques(g, cliques) == want
+    assert searched > 0 and free > 0  # the samples reach the full search
+
+
+def test_first_certificate_searches_only_contained_members(monkeypatch):
+    calls = []
+    inner = certificates._search_obstruction
+    monkeypatch.setattr(certificates, "_search_obstruction",
+                        lambda *a: calls.append(a) or inner(*a))
+    # xn(3): in the clique {0, 1, 5} only partner 5 has N(5) inside it
+    g = xn_graph(3)
+    assert certificates._first_certificate(g.adjacency_masks(),
+                                           (0, 1, 5)) is None
+    assert len(calls) == 1
+    calls.clear()
+    assert certificates._first_certificate(g.adjacency_masks(),
+                                           (0, 1, 2)) is None
+    assert calls == []
+
+
 def test_find_certificates_match_a_plain_loop_scan():
     found = 0
     for g in seeded_graphs():

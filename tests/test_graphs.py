@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import math
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,7 @@ from nbcomplex import (Graph, ParseError, ResourceCapError, SubgraphWitness,
                        make_named_graph, maximal_cliques, parse_edge_list,
                        path_graph, serialize_edge_list, witness_is_valid,
                        xn_graph)
+from nbcomplex import graphs
 from nbcomplex.seeds import mix64, unit_threshold
 
 
@@ -201,6 +206,66 @@ def test_gnp_is_the_per_pair_definition(n, p):
         want = [pairs[t] for t in range(len(pairs))
                 if mix64(seed, t) < unit_threshold(p)]
         assert list(gnp_sample(n, p, seed).edges()) == want
+
+
+def reference_gnp(n, p, seed):
+    """G(n, p) spelled out: pair t = (u, v), u < v in lexicographic order,
+    is an edge iff mix64(seed, t) falls below the threshold of p."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [pair for t, pair in enumerate(pairs)
+                                if mix64(seed, t) < unit_threshold(p)])
+
+
+def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
+    monkeypatch.setattr(graphs, "_pair_keys", ())
+    table = 0
+    for n in (12, 3, 45, 0, 30, 1, 6, 2):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for seed in (0, 5, 2**64 + 3):
+                g, want = gnp_sample(n, p, seed), reference_gnp(n, p, seed)
+                assert g.adj == want.adj
+                assert pickle.dumps(g) == pickle.dumps(want)
+                assert repr(g) == repr(want)
+                assert g.adjacency_masks() == want.adjacency_masks()
+        table = max(table, n * (n - 1) // 2)
+        assert len(graphs._pair_keys) == table  # grows only past its end
+
+
+def test_gnp_graphs_match_their_golden_digest():
+    # sha256 of the edge lists, taken before the pair-key table existed
+    digest = hashlib.sha256()
+    for n in (0, 1, 2, 5, 9, 14, 21, 30, 40, 61):
+        for p, t in ((0.15, 0), (0.5, 1), (0.85, 2)):
+            g = gnp_sample(n, p, 9_000 + 37 * n + t)
+            digest.update(serialize_edge_list(g).encode())
+    assert digest.hexdigest() == (
+        "3537b240c86c5b25b65e03ff2f89293e4262141241cc3d49587ae9d9914c2a09")
+
+
+def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
+    # thread k samples n = k + 2, k + 6, ..., so the table grows in
+    # steps that the four threads race for
+    calls = [[(n, 0.5, n) for n in range(k + 2, 90, 4)] for k in range(4)]
+    monkeypatch.setattr(graphs, "_pair_keys", ())
+    serial = [[gnp_sample(*c) for c in mine] for mine in calls]
+    start = threading.Barrier(len(calls))
+
+    def sample(mine):
+        start.wait()
+        return [gnp_sample(*c) for c in mine]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(graphs, "_pair_keys", ())
+            with ThreadPoolExecutor(len(calls)) as pool:
+                threaded = list(pool.map(sample, calls))
+            assert threaded == serial
+            assert [[g.adjacency_masks() for g in mine] for mine in threaded] \
+                == [[g.adjacency_masks() for g in mine] for mine in serial]
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_gnp_edge_list_is_pinned():
