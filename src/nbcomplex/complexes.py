@@ -9,9 +9,11 @@ is never larger and usually much smaller.  Closing the nonempty
 neighborhoods under intersection yields the poset of closed sets; its order
 complex (vertices are closed sets, faces are chains) is a deformation
 retract of N[G], built by the ``retract`` command and kept as an
-independent cross-check of the homology.  Survey records need only the
-poset's size and height, which ``closed_set_stats`` computes on bitmasks
-without building the poset.  The face poset itself is never materialized.
+independent cross-check of the homology.  One bitmask builder with one
+element cap closes the family for both ``closed_set_poset`` and
+``closed_set_stats``; survey records need only the poset's size and
+height, which the latter returns without the cover relation.  The face
+poset itself is never materialized.
 Neighborliness is a minimum hitting set of the non-neighborhoods, found by
 branch-and-bound on the same bitmasks.
 """
@@ -453,81 +455,16 @@ class ClosedSetPoset:
         }
 
 
-def closed_set_poset(g: Graph, vertex_cap: int = 16,
-                     element_cap: int = 20_000) -> ClosedSetPoset:
-    """Close the nonempty neighborhoods under pairwise intersection.
+def _closed_sets(g: Graph, element_cap: int) -> tuple[set[int], set[int]]:
+    """The nonempty neighborhoods closed under intersection, and the
+    distinct nonempty neighborhoods among them, as int bitmasks.
 
-    The resulting family is exactly the image of the double common-neighbor
-    closure on nonempty faces, so it carries the homotopy type of the
-    neighborhood complex without ever enumerating faces.
+    The family is closed one neighborhood at a time: once a family F is
+    closed, adding N(v) adds N(v) and every nonempty N(v) & f for f in F.
+    The family counts against ``element_cap`` once it holds a set that is
+    no neighborhood.  A step at most doubles it, so it never holds more
+    than 2 * max(element_cap, n) + 1 sets.
     """
-    if g.n > vertex_cap:
-        raise ResourceCapError(
-            f"closed-set construction capped at {vertex_cap} vertices "
-            f"(got {g.n}); raise vertex_cap to override")
-    family: set[frozenset[int]] = {g.adj[v] for v in range(g.n) if g.adj[v]}
-    items: list[frozenset[int]] = sorted(
-        family, key=lambda s: (len(s), tuple(sorted(s))))
-    i = 0
-    while i < len(items):
-        s = items[i]
-        for j in range(i):
-            c = s & items[j]
-            if c and c not in family:
-                family.add(c)
-                items.append(c)
-                if len(family) > element_cap:
-                    raise ResourceCapError(
-                        f"closed-set family exceeded element cap {element_cap}",
-                        partial_count=len(family))
-        i += 1
-
-    elements = tuple(sorted((tuple(sorted(s)) for s in family),
-                            key=lambda t: (len(t), t)))
-    sets = [frozenset(e) for e in elements]
-    m = len(sets)
-
-    # Hasse relation: t covers s when s < t with nothing strictly between.
-    strict_subs: list[list[int]] = [[] for _ in range(m)]
-    for j in range(m):
-        for i2 in range(j):
-            if len(sets[i2]) < len(sets[j]) and sets[i2] < sets[j]:
-                strict_subs[j].append(i2)
-    covers: list[tuple[int, int]] = []
-    for j in range(m):
-        subs = strict_subs[j]
-        for i2 in subs:
-            if not any(i2 != k and sets[i2] < sets[k] for k in subs):
-                covers.append((i2, j))
-    covers.sort()
-
-    heights = [0] * m
-    for i2, j in covers:  # element order is a linear extension
-        heights[j] = max(heights[j], heights[i2] + 1)
-    height = max(heights, default=0) if m else -1
-
-    return ClosedSetPoset(elements, tuple(covers), height)
-
-
-def closed_set_stats(g: Graph, vertex_cap: int = 16,
-                     element_cap: int = 20_000) -> tuple[int, int]:
-    """``(len(P.elements), P.height)`` for ``P = closed_set_poset(g)``,
-    ``(0, -1)`` for an edgeless graph, without building ``P``.
-
-    Sets are int bitmasks.  The family is closed under intersection one
-    neighborhood at a time: once a family F is closed, adding N(v) adds
-    N(v) and every nonempty N(v) & f for f in F.  The height is the longest
-    chain, found by a DP over strict subsets in popcount order that looks
-    only at the subsets t & N(v) of each element t, so no cover relation
-    is needed.  The caps raise with ``closed_set_poset``'s messages on
-    exactly the same graphs: that function counts against the element cap
-    only once its closure adds a set that is no neighborhood, so the check
-    here does too.
-    """
-    if g.n > vertex_cap:
-        raise ResourceCapError(
-            f"closed-set construction capped at {vertex_cap} vertices "
-            f"(got {g.n}); raise vertex_cap to override")
     masks = g.adjacency_masks()
     neighborhoods = set(masks)
     neighborhoods.discard(0)
@@ -543,18 +480,55 @@ def closed_set_stats(g: Graph, vertex_cap: int = 16,
             raise ResourceCapError(
                 f"closed-set family exceeded element cap {element_cap}",
                 partial_count=size)
+    return family, neighborhoods
 
-    # Longest chain ending at t, over t's strict subsets in the family.  A
-    # strict subset s is an intersection of neighborhoods, one of which,
-    # N(v), misses part of t; so s lies inside t & N(v), itself a strict
-    # subset in the family, and heights grow along inclusion.  Taking the
-    # maximum over the candidates t & N(v) is therefore enough, and they
-    # all come before t in popcount order.
+
+def _height(family: set[int], neighborhoods: set[int]) -> int:
+    """Longest chain length minus one (-1 for an empty family).
+
+    A closed set s strictly inside t is an intersection of neighborhoods,
+    one of which, N(v), misses part of t; so s lies inside t & N(v), itself
+    a closed set strictly inside t.  Heights grow along inclusion, so a DP
+    in popcount order over the candidates t & N(v) is enough.
+    """
     heights: dict[int, int] = {}
     for t in sorted(family, key=int.bit_count):
         heights[t] = 1 + max((heights[t & a] for a in neighborhoods
                               if t & a and t & a != t), default=-1)
-    return len(family), max(heights.values(), default=-1)
+    return max(heights.values(), default=-1)
+
+
+def closed_set_poset(g: Graph, element_cap: int = 20_000) -> ClosedSetPoset:
+    """The nonempty neighborhoods closed under intersection, ordered by
+    inclusion.
+
+    The family is exactly the image of the double common-neighbor closure
+    on nonempty faces, so it carries the homotopy type of the neighborhood
+    complex without ever enumerating faces.  By the argument in
+    ``_height``, the lower covers of an element t are the inclusion-maximal
+    sets among the nonempty t & N(v) other than t.
+    """
+    family, neighborhoods = _closed_sets(g, element_cap)
+    members = {t: tuple(v for v in range(g.n) if t >> v & 1) for t in family}
+    order = sorted(family, key=lambda t: (t.bit_count(), members[t]))
+    index = {t: i for i, t in enumerate(order)}
+    covers: list[tuple[int, int]] = []
+    for j, t in enumerate(order):
+        below = {t & a for a in neighborhoods} - {0, t}
+        covers += [(index[s], j) for s in below
+                   if not any(s != u and s & u == s for u in below)]
+    covers.sort()
+    return ClosedSetPoset(tuple(members[t] for t in order), tuple(covers),
+                          _height(family, neighborhoods))
+
+
+def closed_set_stats(g: Graph, element_cap: int = 20_000) -> tuple[int, int]:
+    """``(len(P.elements), P.height)`` for ``P = closed_set_poset(g)``,
+    ``(0, -1)`` for an edgeless graph, without the cover relation; the same
+    graphs hit the element cap with the same message.
+    """
+    family, neighborhoods = _closed_sets(g, element_cap)
+    return len(family), _height(family, neighborhoods)
 
 
 def lovasz_retract(p: ClosedSetPoset,

@@ -37,9 +37,7 @@ class Caps:
     complex's strong core over dimensions 0..max_dim+1, not each dimension
     on its own; the name is kept because it appears in every summary's
     config echo.  ``poset_elements`` caps ``closed_set_stats``, which gives
-    the ``closed_sets`` and ``retract_dim`` record fields; its vertex bound
-    is ``capped_homology_vertices``, the bound every homology survey already
-    meets, so the element cap alone bounds the work.  ``clique_vertices``
+    the ``closed_sets`` and ``retract_dim`` record fields.  ``clique_vertices``
     caps the one maximal-clique enumeration that serves both the clique
     number and the certificates.  ``neighborliness_steps`` still counts the
     steps of a level-by-level scan of the i-subsets in lexicographic order;
@@ -89,6 +87,9 @@ class ExperimentConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.max_dim < 0:
             raise ValueError(f"max_dim must be nonnegative, got {self.max_dim}")
+        if self.neighborliness and self.n < 1:
+            raise ValueError("neighborliness needs at least one vertex; "
+                             "disable the neighborliness flag for n=0")
         if self.homology:
             if self.n > self.caps.capped_homology_vertices:
                 raise ValueError(
@@ -178,8 +179,7 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     if cfg.homology:
         try:
             closed_count, retract_dim = closed_set_stats(
-                g, vertex_cap=caps.capped_homology_vertices,
-                element_cap=caps.poset_elements)
+                g, element_cap=caps.poset_elements)
         except ResourceCapError as err:
             # records have always named the poset here; keep the prefix
             errors.append(f"closed_set_poset: {err}")

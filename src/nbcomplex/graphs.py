@@ -276,17 +276,24 @@ def from_family_spec(spec: str) -> Graph:
 # splitmix64(t) for pair indices t = 0, 1, ...: the per-pair half of
 # mix64(seed, t), which no seed changes.  Never extended in place, only
 # rebound to a new tuple, so a thread reading it while another grows it
-# sees one whole table or the other, each a correct prefix.
+# sees one whole table or the other, each a correct prefix.  It grows to at
+# most _PAIR_KEY_CAP keys, the pairs of 64 vertices.
+_PAIR_KEY_CAP = 64 * 63 // 2
 _pair_keys: tuple[int, ...] = ()
 
 
 def _pair_keys_upto(count: int) -> tuple[int, ...]:
-    """The pair-key table, grown to at least ``count`` keys if needed."""
+    """The first ``count`` pair keys, or more: the shared table, grown up
+    to its cap if needed, and past the cap a call-local copy."""
     global _pair_keys
     keys = _pair_keys
     if len(keys) < count:
-        keys += tuple(splitmix64(t) for t in range(len(keys), count))
-        _pair_keys = keys
+        shared = min(count, _PAIR_KEY_CAP)
+        if len(keys) < shared:
+            keys += tuple(splitmix64(t) for t in range(len(keys), shared))
+            _pair_keys = keys
+        if shared < count:
+            keys += tuple(splitmix64(t) for t in range(shared, count))
     return keys
 
 
@@ -301,7 +308,8 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     ``mix64(seed, t) == splitmix64(mix64(seed) ^ splitmix64(t))``, so the
     seed is hashed once per call and ``splitmix64(t)`` once per process:
     a module-level table keeps those keys, C(n, 2) ints for the largest n
-    sampled so far, and each pair costs one ``splitmix64``.  The draws are
+    sampled so far up to n = 64, and each pair costs one ``splitmix64``.
+    Above n = 64 the keys past the table are hashed per call.  The draws are
     written straight into adjacency bitmasks, which also fill the graph's
     :meth:`Graph.adjacency_masks` cache.
     """

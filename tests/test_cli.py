@@ -8,7 +8,7 @@ import json
 import pytest
 
 from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_field2,
-                       boundary_matrices, complete_graph,
+                       boundary_matrices, closed_set_stats, complete_graph,
                        core_boundary_matrices, facet_list_text, gnp_sample,
                        neighborhood_complex, parse_edge_list,
                        parse_facet_list, records_from_csv, records_from_jsonl,
@@ -257,6 +257,47 @@ def test_retract_reports_poset_and_order_complex(capsys):
     assert payload["retract"]["facet_count"] == 6
 
 
+# sha256 of `retract` output, taken from the frozenset construction with its
+# pairwise Hasse scan
+RETRACT_GOLDEN = {
+    "--family complete:3":
+        "71657e6e505019018089805e08397f14935eb0f9296bb2345e166a6e409c5b29",
+    "--family complete:5":
+        "2980c5fd471b3da63efb7207a34b5c02c02d563cf5464edc72920cb8ddb26c62",
+    "--family cycle:7":
+        "d437be6c65b5f2f5c1695f97094ea0205c0224ecc2c78b9af368a7690bdf52bb",
+    "--family complete_bipartite:3,4":
+        "bbf4ea6c2f77f005cdcbbfabf6b63df6dbc8276a60857623cd90f5ddb03b8224",
+    "--family kneser:2,1":
+        "ed023a7be41f8a28497f0f7b7bbdecb1223aa611a37549c16b66775c6dc210b2",
+    "--family xn:3":
+        "4fe5e44e2060db249dd6e354eb0a3fe5c8fc88dd3b8b1b8f049b1224f0f10086",
+    "--gnp 10 0.5 1":
+        "453923c49431418061bcefabebbd2bf9ff9466e22c6e8e6010d4e5c2422d0a21",
+    "--gnp 12 0.5 1":
+        "4224776fbd7418481c066e247975c1e2b382801228e3d5465a53e5232aac1908",
+    "--gnp 14 0.5 1":
+        "5479e048ab1c9bd97a8928b1e5faf3c4b5fd255375805f95e1ebcf2681c60235",
+    "--gnp 16 0.5 1":
+        "268634a361bcbae955d4cb2e2a55efe5a75532936d737321018afd3f85b41f87",
+}
+
+
+@pytest.mark.parametrize("source", sorted(RETRACT_GOLDEN))
+def test_retract_bytes_match_their_golden_digests(capsys, source):
+    code, out, _ = run_cli(capsys, "retract", *source.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RETRACT_GOLDEN[source]
+
+
+def test_retract_runs_above_sixteen_vertices(capsys):
+    code, out, _ = run_cli(capsys, "retract", "--gnp", "18", "0.5", "1")
+    assert code == 0
+    poset = json.loads(out)["poset"]
+    assert (len(poset["elements"]), poset["height"]) == \
+        closed_set_stats(gnp_sample(18, 0.5, 1))
+
+
 def test_certify_complete_graph(capsys):
     code, out, _ = run_cli(capsys, "certify", "--family", "complete:4")
     payload = json.loads(out)
@@ -425,6 +466,15 @@ def test_survey_config_validation_maps_to_exit_one(capsys):
     code, _, err = run_cli(capsys, "survey", "--n", "40", "--p", "0.5",
                            "--trials", "1", "--seed", "2")
     assert code == 1 and "homology" in err
+
+
+def test_survey_rejects_neighborliness_without_vertices(capsys):
+    survey = ("survey", "--n", "0", "--p", "0.5", "--trials", "1",
+              "--seed", "1", "--features")
+    code, _, err = run_cli(capsys, *survey, "neighborliness")
+    assert code == 1 and "neighborliness needs at least one vertex" in err
+    code, out, _ = run_cli(capsys, *survey, "cliques,certificates,homology")
+    assert code == 0 and json.loads(out)["errors"] == []
 
 
 def test_sweep_summary_to_stdout(capsys, tmp_path):

@@ -11,9 +11,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nbcomplex import (Graph, ParseError, ResourceCapError, SimplicialComplex,
-                       closed_set_poset, closed_set_stats, closure,
-                       common_neighbors, complete_bipartite_graph,
+from nbcomplex import (ClosedSetPoset, Graph, ParseError, ResourceCapError,
+                       SimplicialComplex, closed_set_poset, closed_set_stats,
+                       closure, common_neighbors, complete_bipartite_graph,
                        complete_graph, cycle_graph, facet_list_text,
                        from_family_spec, gnp_sample, lovasz_retract,
                        neighborhood_complex, neighborliness,
@@ -380,7 +380,7 @@ def test_poset_caps():
     with pytest.raises(ResourceCapError):
         closed_set_poset(complete_graph(20))
     with pytest.raises(ResourceCapError):
-        closed_set_poset(gnp_sample(14, 0.5, 12), vertex_cap=16, element_cap=10)
+        closed_set_poset(gnp_sample(14, 0.5, 12), element_cap=10)
 
 
 def test_poset_json_shape():
@@ -401,6 +401,65 @@ def capped(build, g, **caps):
 def poset_stats(g, **caps):
     p = closed_set_poset(g, **caps)
     return len(p.elements), p.height
+
+
+def reference_poset(g, element_cap=20_000):
+    """The closed-set poset by frozensets: pairwise intersections until
+    nothing new appears, then a Hasse scan over all strict inclusions."""
+    family = {g.adj[v] for v in range(g.n) if g.adj[v]}
+    items = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
+    i = 0
+    while i < len(items):
+        s = items[i]
+        for j in range(i):
+            c = s & items[j]
+            if c and c not in family:
+                family.add(c)
+                items.append(c)
+                if len(family) > element_cap:
+                    raise ResourceCapError(
+                        f"closed-set family exceeded element cap {element_cap}",
+                        partial_count=len(family))
+        i += 1
+
+    elements = tuple(sorted((tuple(sorted(s)) for s in family),
+                            key=lambda t: (len(t), t)))
+    sets = [frozenset(e) for e in elements]
+    m = len(sets)
+    strict_subs = [[] for _ in range(m)]
+    for j in range(m):
+        for i2 in range(j):
+            if len(sets[i2]) < len(sets[j]) and sets[i2] < sets[j]:
+                strict_subs[j].append(i2)
+    covers = []
+    for j in range(m):
+        subs = strict_subs[j]
+        for i2 in subs:
+            if not any(i2 != k and sets[i2] < sets[k] for k in subs):
+                covers.append((i2, j))
+    covers.sort()
+
+    heights = [0] * m
+    for i2, j in covers:  # element order is a linear extension
+        heights[j] = max(heights[j], heights[i2] + 1)
+    height = max(heights, default=0) if m else -1
+    return ClosedSetPoset(elements, tuple(covers), height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(10), st.sampled_from([None, 5, 10, 40]))
+def test_closed_sets_match_the_frozenset_reference(g, cap):
+    caps = {} if cap is None else {"element_cap": cap}
+    want = capped(reference_poset, g, **caps)
+    assert capped(closed_set_poset, g, **caps) == want
+    assert capped(closed_set_stats, g, **caps) == (
+        want if isinstance(want, str) else (len(want.elements), want.height))
+    if g.n <= 7 and not isinstance(want, str):
+        # the closed sets are the closures of the nonempty faces of N[G]
+        faces = (s for k in range(1, g.n + 1)
+                 for s in itertools.combinations(range(g.n), k)
+                 if common_neighbors(g, s))
+        assert set(want.element_sets()) == {closure(g, s) for s in faces}
 
 
 @pytest.mark.parametrize("g", [

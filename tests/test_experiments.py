@@ -50,6 +50,12 @@ def test_config_validation_errors():
     assert cfg.n == 31
 
 
+def test_config_rejects_neighborliness_without_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        tiny_config(n=0, neighborliness=True)
+    assert tiny_config(n=0, certificates=True, clique_stats=True).n == 0
+
+
 def test_config_coerces_grid_to_floats():
     from fractions import Fraction
     cfg = tiny_config(p_grid=(Fraction(1, 2), 0))
@@ -214,8 +220,7 @@ def test_homology_trials_above_16_vertices_get_closed_set_fields():
                       max_dim=1)
     for r in run_survey(cfg, jobs=1):
         assert not any(e.startswith("closed_set_poset") for e in r.errors)
-        poset = closed_set_poset(gnp_sample(cfg.n, r.p, r.seed),
-                                 vertex_cap=18)
+        poset = closed_set_poset(gnp_sample(cfg.n, r.p, r.seed))
         assert (r.closed_set_count, r.retract_dimension) == \
             (len(poset.elements), poset.height)
 
