@@ -89,10 +89,12 @@ def _require_maximal_clique(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
     for u, v in combinations(x, 2):
         if not g.has_edge(u, v):
             raise ValueError(f"{list(x)} is not a clique: missing edge ({u}, {v})")
-    ext = frozenset.intersection(*(g.adj[v] for v in x))
+    ext = -1
+    for v in x:
+        ext &= g.masks[v]
     if ext:
-        raise ValueError(
-            f"{list(x)} is not maximal: vertex {min(ext)} extends it")
+        raise ValueError(f"{list(x)} is not maximal: vertex "
+                         f"{(ext & -ext).bit_length() - 1} extends it")
     return x
 
 
@@ -149,7 +151,7 @@ def obstruction_test(g: Graph, clique: Sequence[int],
     x = _require_maximal_clique(g, clique)
     if not 0 <= index < len(x):
         raise ValueError(f"index {index} out of range for clique of size {len(x)}")
-    adj = g.adjacency_masks()
+    adj = g.masks
     inside, commons = _clique_masks(adj, x)
     found = _search_obstruction(adj, commons[index], inside)
     return None if found is None else ObstructionWitness(*found, index)
@@ -184,7 +186,7 @@ def sphere_certificate(g: Graph,
     Cliques of size one are never certified (there is no sphere to name).
     """
     x = _require_maximal_clique(g, clique)
-    return _first_certificate(g.adjacency_masks(), x)
+    return _first_certificate(g.masks, x)
 
 
 def _revalidate(g: Graph, cert: SphereCertificate) -> bool:
@@ -227,7 +229,7 @@ def _certificates_from_cliques(g: Graph, cliques: Sequence[tuple[int, ...]]
     """:func:`find_sphere_certificates` on the already enumerated maximal
     cliques of ``g`` (sorted tuples, as :func:`maximal_cliques` gives them),
     so they are not checked for maximality again."""
-    adj = g.adjacency_masks()
+    adj = g.masks
     certs = []
     for clique in cliques:
         cert = _first_certificate(adj, clique)
@@ -251,7 +253,7 @@ def obstructed_clique_extension(g: Graph,
     one, None otherwise.  The witness is revalidated before being returned.
     """
     x = _require_maximal_clique(g, clique)
-    adj = g.adjacency_masks()
+    adj = g.masks
     inside, commons = _clique_masks(adj, x)
     partners = []
     for common in commons:
@@ -287,11 +289,12 @@ def neighborliness_chromatic_bound(g: Graph, work_cap: int = 5_000_000) -> int:
 
 
 def _greedy_bound(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    adj = g.adj
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     color: dict[int, int] = {}
     best = 0
     for v in order:
-        used = {color[w] for w in g.adj[v] if w in color}
+        used = {color[w] for w in adj[v] if w in color}
         c = 0
         while c in used:
             c += 1
@@ -330,6 +333,7 @@ def _chromatic_from_cliques(g: Graph,
     if omega == ub:
         return omega
     seed_clique = next(c for c in cliques if len(c) == omega)
+    adj = g.adj
 
     def colorable(k: int) -> bool:
         color: dict[int, int] = {v: i for i, v in enumerate(seed_clique)}
@@ -341,12 +345,12 @@ def _chromatic_from_cliques(g: Graph,
             for v in range(g.n):
                 if v in color:
                     continue
-                sat = len({color[w] for w in g.adj[v] if w in color})
+                sat = len({color[w] for w in adj[v] if w in color})
                 if sat > best_sat:
                     best_v, best_sat = v, sat
             used_count = max(color.values()) + 1
             for c in range(min(k, used_count + 1)):
-                if all(color.get(w) != c for w in g.adj[best_v]):
+                if all(color.get(w) != c for w in adj[best_v]):
                     color[best_v] = c
                     if step():
                         return True

@@ -16,17 +16,21 @@ height, which the latter returns without the cover relation.  The face
 poset itself is never materialized.
 Neighborliness is a minimum hitting set of the non-neighborhoods, found by
 branch-and-bound on the same bitmasks.
+
+All of these start from the graph's adjacency bitmasks; one helper,
+``_maximal``, keeps the inclusion-maximal sets wherever facets, strong-core
+facets, hitting-set targets or lower covers are needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, ResourceCapError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -48,20 +52,16 @@ class SimplicialComplex:
         """Build from arbitrary faces, keeping the inclusion-maximal ones."""
         if ground_set < 0:
             raise ValueError(f"ground set size must be nonnegative, got {ground_set}")
-        sets = {frozenset(f) for f in faces}
-        sets.discard(frozenset())
-        for f in sets:
+        masks = []
+        for f in faces:
+            m = 0
             for v in f:
                 if not 0 <= v < ground_set:
                     raise ValueError(
                         f"face vertex {v} out of range for ground set {ground_set}")
-        by_size = sorted(sets, key=len, reverse=True)
-        maximal: list[frozenset[int]] = []
-        for f in by_size:
-            if not any(f < m for m in maximal):
-                maximal.append(f)
-        facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
-        return cls(ground_set, facets)
+                m |= 1 << v
+            masks.append(m)
+        return cls(ground_set, _facets(_maximal(masks)))
 
     @property
     def dimension(self) -> int:
@@ -143,33 +143,55 @@ class SimplicialComplex:
                         meet &= f
                 if meet == -1 or meet == bit:
                     continue  # v is absent, or no other vertex dominates it
-                rest = [f for f in facets if not f & bit]
-                shrunk = [f ^ bit for f in facets if f & bit]
-                facets = rest + [s for s in shrunk
-                                 if not any(s & r == s for r in rest)]
+                # a facet through v, less v, can only fall inside a facet
+                # holding all of meet; the other facets stay maximal
+                near = meet ^ bit
+                stay = [f for f in facets if not f & bit and f & near != near]
+                facets = stay + _maximal([f & ~bit for f in facets
+                                          if f & bit or f & near == near])
                 changed = deleted = True
         if not deleted:
             return self
-        return SimplicialComplex(self.ground_set, tuple(sorted(
-            tuple(v for v in range(self.ground_set) if f >> v & 1)
-            for f in facets)))
+        return SimplicialComplex(self.ground_set, _facets(facets))
 
     def component_count(self) -> int:
         """Connected components of the underlying 1-skeleton."""
-        verts = self.vertices()
-        parent = {v: v for v in verts}
+        return _components(sum(1 << v for v in f) for f in self.facets)
 
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
 
-        for f in self.facets:
-            root = find(f[0])
-            for v in f[1:]:
-                parent[find(v)] = root
-        return len({find(v) for v in verts})
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal sets among the nonzero bitmasks ``masks``, each
+    once, largest first."""
+    kept: list[int] = []
+    for _, same_size in groupby(sorted(set(masks), key=int.bit_count,
+                                       reverse=True), int.bit_count):
+        # only a larger set can hold m, and the list is built before kept
+        # grows, so m meets just the sets kept from larger sizes
+        kept += [m for m in same_size
+                 if m and not any(m & k == m for k in kept)]
+    return kept
+
+
+def _facets(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Bitmask facets as the sorted tuple of sorted vertex tuples."""
+    return tuple(sorted(tuple(_bits(m)) for m in masks))
+
+
+def _components(masks: Iterable[int]) -> int:
+    """Classes of the nonzero bitmasks ``masks`` under chains of overlaps:
+    each is merged with every component mask it meets."""
+    components: list[int] = []
+    for merged in masks:
+        if merged:
+            apart = []
+            for c in components:
+                if c & merged:
+                    merged |= c
+                else:
+                    apart.append(c)
+            apart.append(merged)
+            components = apart
+    return len(components)
 
 
 def facet_list_text(c: SimplicialComplex) -> str:
@@ -227,7 +249,7 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     Facets are the inclusion-maximal neighborhoods, so the dimension is
     max degree - 1.  Graphs with no edges give the empty complex.
     """
-    return SimplicialComplex.from_faces(g.n, (g.adj[v] for v in range(g.n)))
+    return SimplicialComplex(g.n, _facets(_maximal(g.masks)))
 
 
 def neighborhood_complex_components(g: Graph) -> int:
@@ -236,21 +258,9 @@ def neighborhood_complex_components(g: Graph) -> int:
 
     Each neighborhood is a face, and every face lies in a neighborhood, so
     the components are the classes of vertices linked by chains of
-    overlapping neighborhoods: each nonzero N(w) bitmask is merged with
-    every component mask it meets.
+    overlapping neighborhoods.
     """
-    components: list[int] = []
-    for merged in g.adjacency_masks():
-        if merged:
-            apart = []
-            for c in components:
-                if c & merged:
-                    merged |= c
-                else:
-                    apart.append(c)
-            apart.append(merged)
-            components = apart
-    return len(components)
+    return _components(g.masks)
 
 
 def common_neighbors(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -259,13 +269,12 @@ def common_neighbors(g: Graph, s: Iterable[int]) -> frozenset[int]:
     This is the order-reversing operator whose nonempty values are exactly
     the faces of the neighborhood complex.
     """
-    ss = set(s)
-    for v in ss:
+    common = (1 << g.n) - 1
+    for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    if not ss:
-        return frozenset(range(g.n))
-    return frozenset.intersection(*(g.adj[v] for v in ss))
+        common &= g.masks[v]
+    return frozenset(_bits(common))
 
 
 def closure(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -310,12 +319,9 @@ def neighborliness(g: Graph, work_cap: int = 5_000_000) -> int:
     if n < 1:
         raise ValueError("neighborliness needs at least one vertex")
     full = (1 << n) - 1
-    # only the inclusion-minimal non-neighborhoods need hitting
-    targets: list[int] = []
-    for m in sorted({full & ~a for a in g.adjacency_masks()},
-                    key=int.bit_count):
-        if not any(t & m == t for t in targets):
-            targets.append(m)
+    # only the inclusion-minimal non-neighborhoods need hitting: the
+    # complements of the facets of N[G], smallest first
+    targets = [full & ~m for m in _maximal(g.masks)] or [full]
 
     # the first level whose subsets would take the scan past work_cap,
     # n + 1 when the scan always finishes; scanned = C(n,1)+...+C(n,level-1)
@@ -465,7 +471,7 @@ def _closed_sets(g: Graph, element_cap: int) -> tuple[set[int], set[int]]:
     no neighborhood.  A step at most doubles it, so it never holds more
     than 2 * max(element_cap, n) + 1 sets.
     """
-    masks = g.adjacency_masks()
+    masks = g.masks
     neighborhoods = set(masks)
     neighborhoods.discard(0)
     family: set[int] = set()
@@ -509,14 +515,13 @@ def closed_set_poset(g: Graph, element_cap: int = 20_000) -> ClosedSetPoset:
     sets among the nonempty t & N(v) other than t.
     """
     family, neighborhoods = _closed_sets(g, element_cap)
-    members = {t: tuple(v for v in range(g.n) if t >> v & 1) for t in family}
+    members = {t: tuple(_bits(t)) for t in family}
     order = sorted(family, key=lambda t: (t.bit_count(), members[t]))
     index = {t: i for i, t in enumerate(order)}
     covers: list[tuple[int, int]] = []
     for j, t in enumerate(order):
-        below = {t & a for a in neighborhoods} - {0, t}
-        covers += [(index[s], j) for s in below
-                   if not any(s != u and s & u == s for u in below)]
+        covers += [(index[s], j) for s in
+                   _maximal(t & a for a in neighborhoods if t & a != t)]
     covers.sort()
     return ClosedSetPoset(tuple(members[t] for t in order), tuple(covers),
                           _height(family, neighborhoods))

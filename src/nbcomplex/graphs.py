@@ -2,11 +2,10 @@
 sampling, a plain text edge-list format, maximal cliques, and exact
 subgraph detectors.
 
-Vertices are always 0..n-1.  Graphs are immutable; adjacency is stored as
-one frozenset per vertex, and :meth:`Graph.adjacency_masks` gives the same
-sets as int bitmasks (bit w of ``masks[v]`` set iff vw is an edge).  The
-clique layer works on those masks: :func:`maximal_cliques` is Bron–Kerbosch
-with the Tomita pivot rule, one int AND per candidate-set update.
+Vertices are always 0..n-1.  Graphs are immutable, and their one adjacency
+encoding is an int bitmask per vertex: bit w of ``masks[v]`` is set iff vw
+is an edge.  Every layer works on those masks: :func:`maximal_cliques` is
+Bron–Kerbosch with the Tomita pivot, one int AND per candidate-set update.
 """
 
 from __future__ import annotations
@@ -24,92 +23,67 @@ from .seeds import mix64, splitmix64, unit_threshold
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``adj[v]`` is the neighbor set of v.  Loops and multi-edges cannot be
-    represented; symmetry holds by construction in :meth:`from_edges`.
+    ``masks[v]`` is the neighbor set of v as an int bitmask.  Loops and
+    multi-edges cannot be represented; symmetry holds by construction in
+    :meth:`from_edges` and :func:`gnp_sample`.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in nbrs))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(n, tuple(masks))
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """The neighbor sets as frozensets, built on each call."""
+        return tuple(frozenset(_bits(m)) for m in self.masks)
 
     def neighbors(self, v: int) -> frozenset[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v]
+        return frozenset(_bits(self.masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge query ({u}, {v}) out of range for n={self.n}")
-        return v in self.adj[u]
-
-    @classmethod
-    def _from_masks(cls, masks: Sequence[int]) -> "Graph":
-        """The graph whose adjacency bitmasks are ``masks`` (assumed
-        symmetric and loop-free), with its mask cache already filled.
-
-        Each neighbor set passes through a set, as in :meth:`from_edges`
-        with edges in lexicographic order, so the frozensets get the same
-        tables: the same iteration order, repr and pickle bytes.
-        """
-        g = cls(len(masks), tuple(frozenset(set(_bits(m))) for m in masks))
-        object.__setattr__(g, "_masks", tuple(masks))
-        return g
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """``adj`` as int bitmasks: bit w of entry v is set iff vw is an edge.
-
-        Built on the first call, or at construction by :func:`gnp_sample`,
-        and kept on the instance, outside the dataclass fields, so equality,
-        hashing, repr and pickles ignore it.
-        """
-        masks = self.__dict__.get("_masks")
-        if masks is None:
-            masks = tuple(sum(1 << w for w in s) for s in self.adj)
-            object.__setattr__(self, "_masks", masks)
-        return masks
-
-    def __getstate__(self) -> dict:
-        return {"n": self.n, "adj": self.adj}
+        return bool(self.masks[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
-                if u < v:
-                    yield (u, v)
+        for u, m in enumerate(self.masks):
+            for v in _bits(m & -1 << u + 1):  # the neighbors above u
+                yield (u, v)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= self.masks[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << self.n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +257,14 @@ _pair_keys: tuple[int, ...] = ()
 
 
 def _pair_keys_upto(count: int) -> tuple[int, ...]:
-    """The first ``count`` pair keys, or more: the shared table, grown up
-    to its cap if needed, and past the cap a call-local copy."""
+    """The shared table, grown first if it holds fewer than
+    ``min(count, _PAIR_KEY_CAP)`` keys."""
     global _pair_keys
     keys = _pair_keys
-    if len(keys) < count:
-        shared = min(count, _PAIR_KEY_CAP)
-        if len(keys) < shared:
-            keys += tuple(splitmix64(t) for t in range(len(keys), shared))
-            _pair_keys = keys
-        if shared < count:
-            keys += tuple(splitmix64(t) for t in range(shared, count))
+    shared = min(count, _PAIR_KEY_CAP)
+    if len(keys) < shared:
+        keys += tuple(splitmix64(t) for t in range(len(keys), shared))
+        _pair_keys = keys
     return keys
 
 
@@ -309,9 +280,9 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     seed is hashed once per call and ``splitmix64(t)`` once per process:
     a module-level table keeps those keys, C(n, 2) ints for the largest n
     sampled so far up to n = 64, and each pair costs one ``splitmix64``.
-    Above n = 64 the keys past the table are hashed per call.  The draws are
-    written straight into adjacency bitmasks, which also fill the graph's
-    :meth:`Graph.adjacency_masks` cache.
+    Above n = 64 a row that runs past the table hashes its own keys, so a
+    call holds at most one row of keys at a time.  The draws are written
+    straight into the graph's adjacency bitmasks.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -319,18 +290,26 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability out of range: {p}")
     threshold = unit_threshold(p)
     h = mix64(seed)
-    keys = _pair_keys_upto(n * (n - 1) // 2)
+    table = _pair_keys_upto(n * (n - 1) // 2)
+    # keys[t - base] == splitmix64(t).  Rows index the table rather than
+    # slice it: CPython 3.11 parks every freed 20-item tuple on a free list
+    # that no allocation draws from, so a slice per row held about 200
+    # bytes per sample until the next full collection.
+    keys, base = table, 0
     masks = [0] * n
     t = 0
     for u in range(n):
+        end = t + n - 1 - u  # the pairs (u, v), v > u, are t..end-1
+        if end > len(table):
+            keys, base = tuple(map(splitmix64, range(t, end))), t
         row = 0
         for v in range(u + 1, n):
-            if splitmix64(h ^ keys[t]) < threshold:
+            if splitmix64(h ^ keys[t - base]) < threshold:
                 row |= 1 << v
                 masks[v] |= 1 << u
             t += 1
         masks[u] |= row
-    return Graph._from_masks(masks)
+    return Graph(n, tuple(masks))
 
 
 def derive_trial_seed(master_seed: int, p_index: int, trial_index: int) -> int:
@@ -343,12 +322,7 @@ def derive_trial_seed(master_seed: int, p_index: int, trial_index: int) -> int:
 
 
 def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending.
-
-    A list, not a tuple: CPython keeps up to 2,000 freed tuples of each
-    small size for reuse, so a throwaway tuple per sampled vertex would
-    leave that much memory held after the graphs are gone.
-    """
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -397,7 +371,7 @@ def maximal_cliques(g: Graph, vertex_cap: int = 64) -> list[tuple[int, ...]]:
     if g.n == 0:
         return []
     out: list[tuple[int, ...]] = []
-    _expand(g.adjacency_masks(), 0, (1 << g.n) - 1, 0, out)
+    _expand(g.masks, 0, (1 << g.n) - 1, 0, out)
     return sorted(out)
 
 
@@ -464,14 +438,17 @@ def contains_complete_bipartite(g: Graph, a: int, b: int,
     """
     if a < 1 or b < 1:
         raise ValueError(f"part sizes must be positive, got ({a}, {b})")
+    masks = g.masks
     steps = 0
     for A in combinations(range(g.n), a):
         steps += 1
         if steps > work_cap:
             raise ResourceCapError(
                 f"complete-bipartite search exceeded work cap {work_cap}")
-        common = frozenset.intersection(*(g.adj[v] for v in A))
-        cand = sorted(common - set(A))
+        common = -1
+        for v in A:
+            common &= masks[v]
+        cand = _bits(common)  # never meets A: no vertex is its own neighbor
         if len(cand) >= b:
             return SubgraphWitness("complete_bipartite", (A, tuple(cand[:b])))
     return None
@@ -487,27 +464,27 @@ def contains_xn(g: Graph, k: int,
     """
     if k < 1:
         raise ValueError(f"xn order must be at least 1, got {k}")
-    every = frozenset(range(g.n))
+    masks = g.masks
+    every = (1 << g.n) - 1
     steps = 0
     for U in combinations(range(g.n), k):
         steps += 1
         if steps > work_cap:
             raise ResourceCapError(f"xn search exceeded work cap {work_cap}")
-        if not all(g.has_edge(u, v) for u, v in combinations(U, 2)):
-            continue
-        uset = set(U)
+        inside = 0
+        for u in U:
+            inside |= 1 << u
+        if any((inside & ~masks[u]) != 1 << u for u in U):
+            continue  # not a clique
         partners = []
         for u in U:
-            rest = uset - {u}
-            if rest:
-                cand = frozenset.intersection(*(g.adj[w] for w in rest))
-            else:
-                cand = every
-            cand = cand - g.adj[u] - uset
-            cand = cand - {u}
+            cand = every & ~masks[u] & ~inside
+            for w in U:
+                if w != u:
+                    cand &= masks[w]
             if not cand:
                 break
-            partners.append(min(cand))
+            partners.append((cand & -cand).bit_length() - 1)
         else:
             # partner pools for distinct clique vertices are disjoint when
             # k >= 2 (a shared partner would need an edge and a non-edge to
@@ -541,10 +518,11 @@ def is_strictly_balanced(g: Graph, vertex_cap: int = 12) -> bool:
             f"strict balance check is exhaustive and capped at {vertex_cap} "
             f"vertices (got {g.n}); raise vertex_cap to override")
     d = density(g)
+    masks = g.masks
     for size in range(1, g.n):
         for sub in combinations(range(g.n), size):
-            inside = set(sub)
-            e = sum(1 for u in sub for w in g.adj[u] if w in inside) // 2
+            inside = sum(1 << u for u in sub)
+            e = sum((masks[u] & inside).bit_count() for u in sub) // 2
             if Fraction(e, size) >= d:
                 return False
     return True

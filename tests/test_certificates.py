@@ -327,7 +327,7 @@ def certificate_search_graphs():
 def test_first_certificate_matches_the_all_index_search():
     searched = free = 0
     for g in certificate_search_graphs():
-        adj = g.adjacency_masks()
+        adj = g.masks
         cliques = graphs.maximal_cliques(g, vertex_cap=g.n)
         want = []
         for x in cliques:
@@ -351,11 +351,11 @@ def test_first_certificate_searches_only_contained_members(monkeypatch):
                         lambda *a: calls.append(a) or inner(*a))
     # xn(3): in the clique {0, 1, 5} only partner 5 has N(5) inside it
     g = xn_graph(3)
-    assert certificates._first_certificate(g.adjacency_masks(),
+    assert certificates._first_certificate(g.masks,
                                            (0, 1, 5)) is None
     assert len(calls) == 1
     calls.clear()
-    assert certificates._first_certificate(g.adjacency_masks(),
+    assert certificates._first_certificate(g.masks,
                                            (0, 1, 2)) is None
     assert calls == []
 

@@ -7,12 +7,12 @@ import json
 
 import pytest
 
-from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_field2,
-                       boundary_matrices, closed_set_stats, complete_graph,
-                       core_boundary_matrices, facet_list_text, gnp_sample,
-                       neighborhood_complex, parse_edge_list,
-                       parse_facet_list, records_from_csv, records_from_jsonl,
-                       run_survey)
+from nbcomplex import (ExperimentConfig, Graph, SimplicialComplex,
+                       betti_field2, boundary_matrices, closed_set_stats,
+                       complete_graph, core_boundary_matrices,
+                       facet_list_text, gnp_sample, neighborhood_complex,
+                       parse_edge_list, parse_facet_list, records_from_csv,
+                       records_from_jsonl, run_survey, run_trial)
 from nbcomplex import cli
 from nbcomplex.cli import main
 
@@ -241,6 +241,25 @@ def test_homology_bytes_match_their_golden_digests(tmp_path, capsys, name):
         assert code == 0
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == HOMOLOGY_GOLDEN[name]
+
+
+def test_survey_trials_and_homology_never_build_frozenset_adjacency(
+        monkeypatch, capsys):
+    # the runtime paths read Graph.masks; Graph.adj is for callers only
+    def refuse(self):
+        raise AssertionError("Graph.adj read on a runtime path")
+
+    monkeypatch.setattr(Graph, "adj", property(refuse))
+    cfg = ExperimentConfig(n=9, p_grid=(0.5,), trials=1, master_seed=3,
+                           neighborliness=True, certificates=True,
+                           clique_stats=True)
+    r = run_trial(cfg, 0, 0)
+    assert r.errors == ()
+    assert None not in (r.clique_number, r.neighborliness, r.closed_set_count,
+                        r.betti, r.certificates)
+    code, out, _ = run_cli(capsys, "homology", "--gnp", "12", "0.5", "1",
+                           "--coeff", "both")
+    assert code == 0 and json.loads(out)["source"] == "direct"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from nbcomplex import (ClosedSetPoset, Graph, ParseError, ResourceCapError,
                        neighborhood_complex, neighborliness,
                        neighborliness_chromatic_bound, parse_facet_list,
                        path_graph)
-from nbcomplex.complexes import neighborhood_complex_components
+from nbcomplex.complexes import _maximal, neighborhood_complex_components
 
 from test_graphs import small_graphs
 
@@ -37,6 +37,30 @@ def test_from_faces_keeps_only_maximal_faces():
     assert c.facets == ((0, 1, 2), (3,))
     assert c.dimension == 2
     assert c.f_vector() == (4, 3, 1)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 255), max_size=14))
+def test_maximal_keeps_each_inclusion_maximal_set_once(masks):
+    want = {m for m in masks
+            if m and not any(m != k and m & k == m for k in masks)}
+    got = _maximal(masks)
+    assert len(got) == len(want) and set(got) == want
+    assert [m.bit_count() for m in got] == sorted(
+        (m.bit_count() for m in got), reverse=True)
+
+
+@pytest.mark.parametrize("ground_set, faces, message", [
+    (-1, [], "nonnegative"), (-1, [(0,)], "nonnegative"),
+    (3, [(0, 3)], "vertex 3 out of range"),
+    (3, [(1,), (2, 7)], "vertex 7 out of range"),
+    (3, [(-1, 0)], "vertex -1 out of range"),
+    (0, [(0,)], "vertex 0 out of range"),
+])
+def test_from_faces_rejects_bad_ground_sets_and_labels(ground_set, faces,
+                                                       message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex.from_faces(ground_set, faces)
 
 
 def test_empty_complex_conventions():
@@ -244,6 +268,7 @@ def level_scan(g, work_cap=None):
     """The level-by-level scan that ``neighborliness`` replaced, kept as its
     oracle: i-subsets in lexicographic order, one step each, until one has
     no common neighbor.  Returns (value, steps taken)."""
+    adj = g.adj
     steps = 0
     for i in range(1, g.n + 1):
         for s in itertools.combinations(range(g.n), i):
@@ -252,7 +277,7 @@ def level_scan(g, work_cap=None):
                 raise ResourceCapError(
                     f"neighborliness exceeded work cap {work_cap} at level {i}",
                     best=i - 1)
-            if not frozenset.intersection(*(g.adj[v] for v in s)):
+            if not frozenset.intersection(*(adj[v] for v in s)):
                 return i - 1, steps
     raise AssertionError("the whole vertex set has a common neighbor")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -9,6 +10,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -64,18 +66,32 @@ def test_edges_enumerate_in_lexicographic_order():
     assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
 
 
-def test_adjacency_masks_are_built_once_and_stay_out_of_identity():
+def test_masks_are_the_one_adjacency_field():
     g = gnp_sample(12, 0.5, 7)
     twin = Graph.from_edges(12, list(g.edges()))
-    pickled = pickle.dumps(g)
-    masks = g.adjacency_masks()
-    assert g.adjacency_masks() is masks
-    assert masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(12))
-    # twin never built its masks
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "masks"]
+    assert g.masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(12))
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
-    assert pickle.dumps(g) == pickled == pickle.dumps(twin)
+    pickled = pickle.dumps(g)
+    assert pickled == pickle.dumps(twin)
     back = pickle.loads(pickled)
-    assert back == g and back.adjacency_masks() == masks
+    assert back == g and back.masks == g.masks
+    with pytest.raises(AttributeError):
+        g.adj = ()
+
+
+@pytest.mark.parametrize("v", [-1, -12, 12, 40])
+def test_vertex_queries_reject_out_of_range_vertices(v):
+    # on the masks tuple, index -1 would quietly read the last vertex
+    g = gnp_sample(12, 0.5, 7)
+    with pytest.raises(ValueError, match="out of range"):
+        g.neighbors(v)
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(v)
+    with pytest.raises(ValueError, match="out of range"):
+        g.has_edge(0, v)
+    with pytest.raises(ValueError, match="out of range"):
+        g.has_edge(v, 0)
 
 
 @settings(max_examples=60)
@@ -226,7 +242,7 @@ def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
                 assert g.adj == want.adj
                 assert pickle.dumps(g) == pickle.dumps(want)
                 assert repr(g) == repr(want)
-                assert g.adjacency_masks() == want.adjacency_masks()
+                assert g.masks == want.masks
         # grows only past its end, and never past the pairs of 64 vertices
         table = min(max(table, n * (n - 1) // 2), 2_016)
         assert len(graphs._pair_keys) == table
@@ -263,10 +279,25 @@ def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
             with ThreadPoolExecutor(len(calls)) as pool:
                 threaded = list(pool.map(sample, calls))
             assert threaded == serial
-            assert [[g.adjacency_masks() for g in mine] for mine in threaded] \
-                == [[g.adjacency_masks() for g in mine] for mine in serial]
+            assert [[g.masks for g in mine] for mine in threaded] \
+                == [[g.masks for g in mine] for mine in serial]
     finally:
         sys.setswitchinterval(previous)
+
+
+def test_gnp_past_the_key_table_holds_one_row_of_keys_at_a_time():
+    # n = 120 has 7,140 pairs, 5,124 of them past the full table; holding
+    # those keys at once would take about 270 KB
+    gnp_sample(64, 0.5, 0)  # the shared table is full before tracing
+    tracemalloc.start()
+    try:
+        g = gnp_sample(120, 0.001, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == reference_gnp(120, 0.001, 0)
+    assert len(graphs._pair_keys) == 2_016
+    assert peak < 32_000
 
 
 def test_gnp_edge_list_is_pinned():
