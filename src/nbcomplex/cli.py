@@ -132,13 +132,13 @@ def _cmd_homology(args) -> int:
 def _cmd_retract(args) -> int:
     g = _load_graph(args)
     poset = closed_set_poset(g)
-    retract = lovasz_retract(poset)
+    chains = lovasz_retract(poset)
     _emit_json({
         "poset": poset.to_json_dict(),
         "retract": {
-            "dimension": retract.dimension,
-            "facet_count": len(retract.facets),
-            "facets": [list(f) for f in retract.facets],
+            "dimension": max((len(f) for f in chains), default=0) - 1,
+            "facet_count": len(chains),
+            "facets": [list(f) for f in chains],
         },
     }, args.output)
     return 0

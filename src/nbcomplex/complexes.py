@@ -8,8 +8,9 @@ that keeps the homotopy type, so homology is computed on the core, which
 is never larger and usually much smaller.  Closing the nonempty
 neighborhoods under intersection yields the poset of closed sets; its order
 complex (vertices are closed sets, faces are chains) is a deformation
-retract of N[G], built by the ``retract`` command and kept as an
-independent cross-check of the homology.  One bitmask builder with one
+retract of N[G], listed by ``lovasz_retract`` as its maximal chains for the
+``retract`` command and kept as an independent cross-check of the
+homology.  One bitmask builder with one
 element cap closes the family for both ``closed_set_poset`` and
 ``closed_set_stats``; survey records need only the poset's size and
 height, which the latter returns without the cover relation.  The face
@@ -17,7 +18,8 @@ poset itself is never materialized.
 Neighborliness is a minimum hitting set of the non-neighborhoods, found by
 branch-and-bound on the same bitmasks.
 
-All of these start from the graph's adjacency bitmasks; one helper,
+All of these start from the graph's adjacency bitmasks, and a complex
+keeps its facets and enumerates its faces as bitmasks too.  One helper,
 ``_maximal``, keeps the inclusion-maximal sets wherever facets, strong-core
 facets, hitting-set targets or lower covers are needed.
 """
@@ -35,16 +37,17 @@ from .graphs import Graph, _bits
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite simplicial complex given by its facets.
+    """A finite simplicial complex given by its facets, as vertex bitmasks.
 
     ``ground_set`` is the number of potential vertices (labels are
-    0..ground_set-1; not all need appear).  Facets are sorted tuples,
-    pairwise inclusion-incomparable, each nonempty.  The empty complex has
-    no facets and dimension -1.
+    0..ground_set-1; not all need appear).  ``masks`` holds the facets, bit
+    v of a mask set iff v lies in the facet, pairwise inclusion-incomparable,
+    each nonzero, in ascending order.  ``facets`` reads them as sorted vertex
+    tuples.  The empty complex has no facets and dimension -1.
     """
 
     ground_set: int
-    facets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @classmethod
     def from_faces(cls, ground_set: int,
@@ -61,42 +64,52 @@ class SimplicialComplex:
                         f"face vertex {v} out of range for ground set {ground_set}")
                 m |= 1 << v
             masks.append(m)
-        return cls(ground_set, _facets(_maximal(masks)))
+        return cls(ground_set, tuple(sorted(_maximal(masks))))
+
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The facets as sorted vertex tuples, in lexicographic order."""
+        return tuple(sorted(tuple(_bits(m)) for m in self.masks))
 
     @property
     def dimension(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max((m.bit_count() for m in self.masks), default=0) - 1
 
     def vertices(self) -> tuple[int, ...]:
         """Vertices that actually appear in some facet, sorted."""
-        seen: set[int] = set()
-        for f in self.facets:
-            seen.update(f)
-        return tuple(sorted(seen))
+        union = 0
+        for m in self.masks:
+            union |= m
+        return tuple(_bits(union))
 
     def is_face(self, s: Iterable[int]) -> bool:
         """Whether s lies inside some facet.  The empty set is a face of any
         nonempty complex and not of the empty complex."""
-        ss = frozenset(s)
-        if not ss:
-            return bool(self.facets)
-        return any(ss.issubset(f) for f in self.facets)
+        m = 0
+        for v in s:
+            if not 0 <= v < self.ground_set:
+                return False
+            m |= 1 << v
+        return any(m & f == m for f in self.masks)
 
     def faces_up_to(self, top: int, cap: Optional[int] = None
-                    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Sorted faces of each dimension 0..top, one tuple per dimension.
+                    ) -> tuple[tuple[int, ...], ...]:
+        """Faces of each dimension 0..top as bitmasks, one ascending (colex)
+        tuple per dimension.
 
-        This is the one place faces are enumerated.  With ``cap`` set,
-        raises ``ResourceCapError`` as soon as the running total over all
-        dimensions passes it, so an oversized complex is abandoned early.
+        This is the one place faces are enumerated: the k-faces of a facet
+        are the sums of its (k+1)-subsets of powers of two.  With ``cap``
+        set, raises ``ResourceCapError`` as soon as the running total over
+        all dimensions passes it, so an oversized complex is abandoned early.
         """
+        powers = [[1 << v for v in _bits(m)] for m in self.masks]
         out = []
         total = 0
         for k in range(top + 1):
-            layer: set[tuple[int, ...]] = set()
-            for f in self.facets:
-                if len(f) > k:
-                    layer.update(combinations(f, k + 1))
+            layer: set[int] = set()
+            for bits in powers:
+                if len(bits) > k:
+                    layer.update(map(sum, combinations(bits, k + 1)))
                     if cap is not None and total + len(layer) > cap:
                         raise ResourceCapError(
                             f"face enumeration exceeded cap {cap} in "
@@ -107,10 +120,10 @@ class SimplicialComplex:
         return tuple(out)
 
     def k_faces(self, k: int) -> list[tuple[int, ...]]:
-        """All faces of dimension k (size k+1), sorted."""
+        """All faces of dimension k (size k+1) as vertex tuples, sorted."""
         if k < 0:
             raise ValueError(f"face dimension must be nonnegative, got {k}")
-        return list(self.faces_up_to(k)[k])
+        return sorted(tuple(_bits(m)) for m in self.faces_up_to(k)[k])
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_dim); empty tuple for the empty complex."""
@@ -130,7 +143,7 @@ class SimplicialComplex:
         nonempty complex is nonempty, because a deleted vertex always
         leaves its dominating vertex behind.
         """
-        facets = [sum(1 << v for v in f) for f in self.facets]
+        facets = list(self.masks)
         deleted = False
         changed = True
         while changed:
@@ -152,11 +165,11 @@ class SimplicialComplex:
                 changed = deleted = True
         if not deleted:
             return self
-        return SimplicialComplex(self.ground_set, _facets(facets))
+        return SimplicialComplex(self.ground_set, tuple(sorted(facets)))
 
     def component_count(self) -> int:
         """Connected components of the underlying 1-skeleton."""
-        return _components(sum(1 << v for v in f) for f in self.facets)
+        return _components(self.masks)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -170,11 +183,6 @@ def _maximal(masks: Iterable[int]) -> list[int]:
         kept += [m for m in same_size
                  if m and not any(m & k == m for k in kept)]
     return kept
-
-
-def _facets(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Bitmask facets as the sorted tuple of sorted vertex tuples."""
-    return tuple(sorted(tuple(_bits(m)) for m in masks))
 
 
 def _components(masks: Iterable[int]) -> int:
@@ -249,7 +257,7 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     Facets are the inclusion-maximal neighborhoods, so the dimension is
     max degree - 1.  Graphs with no edges give the empty complex.
     """
-    return SimplicialComplex(g.n, _facets(_maximal(g.masks)))
+    return SimplicialComplex(g.n, tuple(sorted(_maximal(g.masks))))
 
 
 def neighborhood_complex_components(g: Graph) -> int:
@@ -536,17 +544,17 @@ def closed_set_stats(g: Graph, element_cap: int = 20_000) -> tuple[int, int]:
     return len(family), _height(family, neighborhoods)
 
 
-def lovasz_retract(p: ClosedSetPoset,
-                   chain_cap: int = 500_000) -> SimplicialComplex:
-    """Order complex of the closed-set poset.
+def lovasz_retract(p: ClosedSetPoset, chain_cap: int = 500_000
+                   ) -> tuple[tuple[int, ...], ...]:
+    """Maximal chains of the closed-set poset, as ascending tuples of
+    element indices, sorted: the facets of its order complex.
 
-    Vertices are poset element indices; faces are chains, so facets are the
-    maximal chains and the dimension equals the poset height.  Homology of
-    this complex equals that of the source neighborhood complex.
+    That complex has the poset height as dimension and the homology of the
+    source neighborhood complex.  Chains are returned because a complex's
+    masks would take one bit per poset element; wrap them with
+    ``SimplicialComplex.from_faces(len(p.elements), chains)`` when needed.
     """
     m = len(p.elements)
-    if m == 0:
-        return SimplicialComplex(0, ())
     uppers: list[list[int]] = [[] for _ in range(m)]
     has_lower = [False] * m
     for i, j in p.covers:
@@ -572,4 +580,4 @@ def lovasz_retract(p: ClosedSetPoset,
             chains.append(path)
     # element indices ascend along any chain (sorted by size first), so the
     # tuples are already sorted; distinct maximal chains are incomparable
-    return SimplicialComplex(m, tuple(sorted(chains)))
+    return tuple(sorted(chains))

@@ -186,8 +186,8 @@ def _smith_reduce(cols: list[dict]
 class ChainComplexData:
     """Faces and boundary maps of a complex up to one past max_dim.
 
-    ``faces[k]`` lists the dimension-k faces (sorted tuples) for
-    k = 0..max_dim+1.  ``boundaries[k]`` maps k-chains to (k-1)-chains;
+    ``faces[k]`` lists the dimension-k faces as ascending vertex bitmasks
+    for k = 0..max_dim+1.  ``boundaries[k]`` maps k-chains to (k-1)-chains;
     index 0 is the 1 x f_0 augmentation row of ones, so kernels and ranks
     combine directly into reduced Betti numbers.  The boundary maps are
     assembled on first use: :func:`homology_integer` builds only the
@@ -196,7 +196,7 @@ class ChainComplexData:
 
     max_dim: int
     complex_dim: int
-    faces: tuple[tuple[tuple[int, ...], ...], ...]
+    faces: tuple[tuple[int, ...], ...]
 
     @property
     def truncated(self) -> bool:
@@ -214,13 +214,14 @@ class ChainComplexData:
             for k in range(self.max_dim + 2))
 
 
-def _boundary_columns(faces: tuple[tuple[tuple[int, ...], ...], ...], k: int,
-                     skip: Collection[int] = ()) -> list[dict]:
-    """Columns of the boundary map on the k-faces ``faces[k]``, leaving out
-    those whose index is in ``skip``.
+def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
+                      skip: Collection[int] = ()) -> list[dict]:
+    """Columns of the boundary map on the k-face bitmasks ``faces[k]``,
+    leaving out those whose index is in ``skip``.
 
-    Column j maps row indices into ``faces[k-1]`` to entries, with the
-    ascending-vertex sign convention: deleting the i-th smallest vertex
+    Column j maps row indices into ``faces[k-1]`` to entries.  The rows are
+    the face less one set bit, dropped from the lowest up with alternating
+    sign: dropping the i-th lowest bit, that is the i-th smallest vertex,
     carries (-1)**i.  For k = 0 each column is the augmentation entry 1.
     """
     if k == 0:
@@ -232,9 +233,12 @@ def _boundary_columns(faces: tuple[tuple[tuple[int, ...], ...], ...], k: int,
             continue
         col = {}
         sign = 1
-        for i in range(k + 1):
-            col[index[f[:i] + f[i + 1:]]] = sign
+        rest = f
+        while rest:
+            low = rest & -rest
+            col[index[f ^ low]] = sign
             sign = -sign
+            rest ^= low
         cols.append(col)
     return cols
 

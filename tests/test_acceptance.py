@@ -21,8 +21,9 @@ from fractions import Fraction
 
 import pytest
 
-from nbcomplex import (ExperimentConfig, betti_sweep, biclique_count_bound,
-                       bound_comparison, boundary_matrices, closed_set_poset,
+from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_sweep,
+                       biclique_count_bound, bound_comparison,
+                       boundary_matrices, closed_set_poset,
                        comparisons_csv, complete_graph,
                        contains_complete_bipartite, find_sphere_certificates,
                        gnp_sample, graph_homology, homology_integer,
@@ -57,7 +58,9 @@ def corpus_pipelines(corpus):
     for g in corpus:
         direct = homology_integer(boundary_matrices(neighborhood_complex(g)))
         poset = closed_set_poset(g)
-        retract = homology_integer(boundary_matrices(lovasz_retract(poset)))
+        retract = homology_integer(boundary_matrices(
+            SimplicialComplex.from_faces(len(poset.elements),
+                                         lovasz_retract(poset))))
         entries.append((g, poset, direct, retract))
     elapsed = time.monotonic() - start
     return entries, elapsed

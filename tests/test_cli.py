@@ -10,8 +10,9 @@ import pytest
 from nbcomplex import (ExperimentConfig, Graph, SimplicialComplex,
                        betti_field2, boundary_matrices, closed_set_stats,
                        complete_graph, core_boundary_matrices,
-                       facet_list_text, gnp_sample, neighborhood_complex,
-                       parse_edge_list, parse_facet_list, records_from_csv,
+                       facet_list_text, gnp_sample, graph_homology,
+                       neighborhood_complex, parse_edge_list,
+                       parse_facet_list, records_from_csv,
                        records_from_jsonl, run_survey, run_trial)
 from nbcomplex import cli
 from nbcomplex.cli import main
@@ -258,6 +259,29 @@ def test_survey_trials_and_homology_never_build_frozenset_adjacency(
     assert None not in (r.clique_number, r.neighborliness, r.closed_set_count,
                         r.betti, r.certificates)
     code, out, _ = run_cli(capsys, "homology", "--gnp", "12", "0.5", "1",
+                           "--coeff", "both")
+    assert code == 0 and json.loads(out)["source"] == "direct"
+
+
+def test_homology_never_reads_facets_as_tuples(monkeypatch, capsys):
+    # faces stay bitmasks from the graph's masks to the Smith reduction;
+    # SimplicialComplex.facets is a tuple view for callers only
+    def refuse(self):
+        raise AssertionError("SimplicialComplex.facets read on a runtime path")
+
+    monkeypatch.setattr(SimplicialComplex, "facets", property(refuse))
+    k6, _ = graph_homology(complete_graph(6))
+    assert k6.betti == (0, 0, 0, 0, 1)
+    sampled, _ = graph_homology(gnp_sample(11, 0.5, 7), with_field2=True)
+    assert sampled.field2 is not None
+    cfg = ExperimentConfig(n=9, p_grid=(0.5,), trials=1, master_seed=3,
+                           neighborliness=True, certificates=True,
+                           clique_stats=True)
+    r = run_trial(cfg, 0, 0)
+    assert r.errors == ()
+    assert None not in (r.clique_number, r.neighborliness, r.closed_set_count,
+                        r.betti, r.certificates)
+    code, out, _ = run_cli(capsys, "homology", "--gnp", "12", "0.45", "3",
                            "--coeff", "both")
     assert code == 0 and json.loads(out)["source"] == "direct"
 

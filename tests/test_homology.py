@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from unittest import mock
 
@@ -19,6 +20,7 @@ from nbcomplex import (AtLeast, Graph, ResourceCapError, SimplicialComplex,
                        homological_connectivity, homology_integer,
                        lovasz_retract, neighborhood_complex,
                        smith_normal_form)
+from nbcomplex.graphs import _bits
 from nbcomplex.homology import (SparseIntMatrix, betti_field2,
                                 boundary_composition_is_zero, gf2_rank)
 
@@ -272,7 +274,7 @@ def test_boundary_of_a_triangle():
     c = SimplicialComplex.from_faces(3, [(0, 1, 2)])
     d = boundary_matrices(c)
     assert d.max_dim == 2 and not d.truncated
-    assert d.faces[1] == ((0, 1), (0, 2), (1, 2))
+    assert d.faces[1] == (0b011, 0b101, 0b110)
     # augmentation row: ones
     assert d.boundaries[0].nrows == 1
     assert all(v == 1 for _, _, v in d.boundaries[0].entries())
@@ -287,6 +289,28 @@ def test_boundary_matrices_on_empty_complex():
     assert d.max_dim == 0 and d.face_count(0) == 0
     r = homology_integer(d)
     assert r.empty and r.betti == (0,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(facet_lists, st.sets(st.integers(0, 60)))
+def test_mask_faces_and_columns_match_the_tuple_reference(facets, skip):
+    c = SimplicialComplex.from_faces(8, facets)
+    layers = c.faces_up_to(max(c.dimension, 0) + 1)
+    for k, layer in enumerate(layers):
+        assert all(a < b for a, b in zip(layer, layer[1:]))
+        want = {t for f in c.facets for t in itertools.combinations(f, k + 1)}
+        assert sorted(tuple(_bits(m)) for m in layer) == sorted(want)
+    assert homology._boundary_columns(layers, 0, skip) == [
+        {0: 1} for j in range(len(layers[0])) if j not in skip]
+    for k in range(1, len(layers)):
+        row = {tuple(_bits(m)): i for i, m in enumerate(layers[k - 1])}
+        want = []
+        for j, f in enumerate(layers[k]):
+            if j not in skip:
+                t = tuple(_bits(f))
+                want.append({row[t[:i] + t[i + 1:]]: (-1) ** i
+                             for i in range(k + 1)})
+        assert homology._boundary_columns(layers, k, skip) == want
 
 
 @settings(max_examples=30)
@@ -433,8 +457,9 @@ def test_retract_route_agrees_with_direct_on_samples():
         assert source == "direct"
         direct = homology_integer(
             boundary_matrices(neighborhood_complex(g)), with_field2=True)
-        retract = homology_integer(
-            boundary_matrices(lovasz_retract(closed_set_poset(g))),
+        p = closed_set_poset(g)
+        retract = homology_integer(boundary_matrices(
+            SimplicialComplex.from_faces(len(p.elements), lovasz_retract(p))),
             with_field2=True)
         width = max(len(got.betti), len(retract.betti))
         assert padded(got, width) == padded(direct, width)
@@ -538,7 +563,7 @@ def test_core_boundary_matrices_keep_the_input_width_and_flags():
     cone = SimplicialComplex.from_faces(7, [f + (6,) for f in RP2_FACETS])
     d = core_boundary_matrices(cone, max_dim=1)
     assert d.truncated and d.complex_dim == 3
-    assert d.faces[0] == ((6,),)
+    assert d.faces[0] == (1 << 6,)
     r = homology_integer(d)
     assert r.betti == (0, 0) and r.torsion == ((), ())
     full = homology_integer(core_boundary_matrices(cone), with_field2=True)
