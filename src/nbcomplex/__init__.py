@@ -3,8 +3,9 @@
 Construction of the complex of commonly-dominated vertex sets, its
 homology computed on its strong core (dominated vertices deleted, which
 keeps the homotopy type and shrinks the chain complex), the closed-set
-poset and its order complex as an independent cross-check, sphere
-certificates extracted from maximal cliques, chromatic lower bounds,
+poset and its order complex as an independent cross-check, the clique
+number from a pruned maximum-clique search, sphere certificates on the
+maximal cliques of simplicial vertices, chromatic lower bounds,
 first-moment bounds with asymptotic windows, and seeded random-graph
 surveys that reproduce byte for byte.
 """
@@ -15,9 +16,9 @@ from .graphs import (Graph, SubgraphWitness, clique_number,
                      contains_complete_bipartite, contains_xn, cycle_graph,
                      density, derive_trial_seed, from_family_spec,
                      gnp_sample, is_strictly_balanced, kneser_graph,
-                     make_named_graph, maximal_cliques, parse_edge_list,
-                     path_graph, serialize_edge_list, witness_is_valid,
-                     xn_graph)
+                     make_named_graph, maximal_cliques, maximum_clique,
+                     parse_edge_list, path_graph, serialize_edge_list,
+                     witness_is_valid, xn_graph)
 from .complexes import (ClosedSetPoset, SimplicialComplex, closed_set_poset,
                         closed_set_stats, closure, common_neighbors,
                         facet_list_text, lovasz_retract, neighborhood_complex,

@@ -17,14 +17,18 @@ as a scan over all pairs.  :func:`obstruction_test` and
 :func:`obstructed_clique_extension` run that search on every index they
 are asked about.  A certificate needs only to know whether an index is
 obstructed, and u itself lies in C: when N(u) reaches outside X, v = u
-with u* any such neighbor obstructs the index, so one AND against the
-clique's mask settles it, and only members whose whole neighborhood lies
-inside X get the full search (C is built the first time one turns up).
-A survey trial and :func:`bound_comparison` enumerate the maximal cliques
-once and share the list between the clique number, the certificates and,
-in the comparison, the exact coloring; the certificates skip the maximality
-check for cliques that came from the enumerator; every certificate is
-still rechecked by the independent plain-loop rescan ``_revalidate``.
+with u* any such neighbor obstructs the index.  So a certificate on X needs
+a member u with N(u) inside X, and only such members get the full search.
+
+Such a u is simplicial, and X is its closed neighborhood N[u].  Proof: X is
+a clique containing u, so X lies in N[u], and N(u) lies in X, so X = N[u].
+Conversely N[u] of a simplicial u is a maximal clique: a vertex adjacent to
+all of N[u] is a neighbor of u, so it is already in N[u].  The only
+maximal cliques that can carry a certificate are therefore the distinct
+closed neighborhoods that are cliques, which one pass over the vertices
+lists; :func:`find_sphere_certificates` searches those and never lists the
+maximal cliques.  Every certificate is still rechecked by the independent
+plain-loop rescan ``_revalidate``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from typing import Optional, Sequence
 
 from .complexes import neighborliness
 from .errors import ResourceCapError
-from .graphs import Graph, SubgraphWitness, maximal_cliques, witness_is_valid
+from .graphs import (Graph, SubgraphWitness, _bits, _require_clique_size,
+                     maximum_clique, witness_is_valid)
 from .homology import AtLeast, Connectivity, graph_homology, \
     homological_connectivity
 
@@ -213,6 +218,29 @@ def _revalidate(g: Graph, cert: SphereCertificate) -> bool:
     return True
 
 
+def _simplicial_cliques(g: Graph,
+                        vertex_cap: int) -> list[tuple[int, ...]]:
+    """The distinct closed neighborhoods N[u] that are cliques, sorted: the
+    maximal cliques that can carry a certificate (see the module notes)."""
+    _require_clique_size(g, vertex_cap)
+    adj = g.masks
+    found = set()
+    for u, m in enumerate(adj):
+        x = m | 1 << u
+        # N[u] is a clique iff each neighbor w has all of N[u] but w in
+        # N(w); the scan stops at the first neighbor that misses, which
+        # for most vertices is the first one
+        rest = m
+        while rest:
+            low = rest & -rest
+            if x & ~adj[low.bit_length() - 1] != low:
+                break
+            rest ^= low
+        else:
+            found.add(x)
+    return sorted(tuple(_bits(x)) for x in found)
+
+
 def find_sphere_certificates(g: Graph,
                              vertex_cap: int = 64) -> list[SphereCertificate]:
     """All certificates over maximal cliques of size at least two.
@@ -220,15 +248,13 @@ def find_sphere_certificates(g: Graph,
     Sorted by sphere dimension descending, then by clique.  Every returned
     certificate has been re-validated by the independent naive scanner.
     """
-    return _certificates_from_cliques(
-        g, maximal_cliques(g, vertex_cap=vertex_cap))
+    return _certificates_from_cliques(g, _simplicial_cliques(g, vertex_cap))
 
 
 def _certificates_from_cliques(g: Graph, cliques: Sequence[tuple[int, ...]]
                                ) -> list[SphereCertificate]:
-    """:func:`find_sphere_certificates` on the already enumerated maximal
-    cliques of ``g`` (sorted tuples, as :func:`maximal_cliques` gives them),
-    so they are not checked for maximality again."""
+    """The certificates on the given maximal cliques of ``g`` (sorted
+    tuples), which are not checked for maximality again."""
     adj = g.masks
     certs = []
     for clique in cliques:
@@ -307,12 +333,13 @@ def chromatic_number_exact(g: Graph, vertex_cap: int = 20) -> int:
     """Exact chromatic number by branch and bound.
 
     Seeded with the clique number below and a greedy coloring above; the
-    first maximum clique is pre-colored to break symmetry; branching picks
-    the uncolored vertex with the most distinct neighbor colors, smallest
-    index on ties, and tries colors in numeric order.
+    lexicographically first maximum clique is pre-colored to break
+    symmetry; branching picks the uncolored vertex with the most distinct
+    neighbor colors, smallest index on ties, and tries colors in numeric
+    order.
     """
     _require_coloring_size(g, vertex_cap)
-    return _chromatic_from_cliques(g, maximal_cliques(g))
+    return _chromatic_from_clique(g, maximum_clique(g))
 
 
 def _require_coloring_size(g: Graph, vertex_cap: int) -> None:
@@ -322,17 +349,15 @@ def _require_coloring_size(g: Graph, vertex_cap: int) -> None:
             f"raise vertex_cap to override")
 
 
-def _chromatic_from_cliques(g: Graph,
-                            cliques: Sequence[tuple[int, ...]]) -> int:
-    """:func:`chromatic_number_exact` on the already enumerated maximal
-    cliques of ``g``, past its vertex cap."""
+def _chromatic_from_clique(g: Graph, seed_clique: tuple[int, ...]) -> int:
+    """:func:`chromatic_number_exact` given the lexicographically first
+    maximum clique of ``g``, past its vertex cap."""
     if g.n == 0:
         return 0
-    omega = max(len(c) for c in cliques)
+    omega = len(seed_clique)
     ub = _greedy_bound(g)
     if omega == ub:
         return omega
-    seed_clique = next(c for c in cliques if len(c) == omega)
     adj = g.adj
 
     def colorable(k: int) -> bool:
@@ -400,31 +425,30 @@ def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
             missing.append(name)
             return None
 
-    # one enumeration serves the coloring, the clique number and the
-    # certificates; a capped one leaves all three missing
+    # one search gives the clique number and the coloring's seed clique; a
+    # capped one leaves both missing
     try:
-        cliques, clique_cap = maximal_cliques(g), None
+        seed_clique, clique_cap = maximum_clique(g), None
     except ResourceCapError as err:
-        cliques, clique_cap = None, err
+        seed_clique, clique_cap = None, err
 
-    def from_cliques(fn):
-        if cliques is None:
+    def from_clique(fn):
+        if seed_clique is None:
             raise clique_cap
-        return fn(cliques)
+        return fn(seed_clique)
 
     def chromatic():
         _require_coloring_size(g, coloring_cap)
-        return from_cliques(lambda cl: _chromatic_from_cliques(g, cl))
+        return from_clique(lambda c: _chromatic_from_clique(g, c))
 
     chi = attempt("chromatic_number", chromatic)
-    omega = attempt("clique_number",
-                    lambda: from_cliques(lambda cl: max(len(c) for c in cl)))
+    omega = attempt("clique_number", lambda: from_clique(len))
     nbound = attempt("neighborliness_bound",
                      lambda: neighborliness_chromatic_bound(g))
     conn = attempt("hom_connectivity",
                    lambda: homological_connectivity(graph_homology(g)[0]))
-    certs = attempt("best_certificate_dim", lambda: from_cliques(
-        lambda cl: _certificates_from_cliques(g, cl)))
+    certs = attempt("best_certificate_dim",
+                    lambda: find_sphere_certificates(g))
     best_dim = None
     if certs is not None:
         best_dim = max((c.sphere_dim for c in certs), default=None)

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, asdict
 from multiprocessing import Pool
 from typing import Optional, Sequence, Union
 
-from .certificates import _certificates_from_cliques
+from .certificates import find_sphere_certificates
 from .complexes import (closed_set_stats, neighborhood_complex_components,
                         neighborliness)
 from .errors import FormatError, ResourceCapError
-from .graphs import derive_trial_seed, gnp_sample, maximal_cliques
+from .graphs import derive_trial_seed, gnp_sample, maximum_clique
 from .homology import graph_homology
 
 log = logging.getLogger(__name__)
@@ -38,8 +38,12 @@ class Caps:
     on its own; the name is kept because it appears in every summary's
     config echo.  ``poset_elements`` caps ``closed_set_stats``, which gives
     the ``closed_sets`` and ``retract_dim`` record fields.  ``clique_vertices``
-    caps the one maximal-clique enumeration that serves both the clique
-    number and the certificates.  ``neighborliness_steps`` still counts the
+    caps the vertex count of the maximum-clique search (the clique number)
+    and of the simplicial-vertex scan (the certificates); neither lists the
+    maximal cliques, but a capped trial records the enumerator's message,
+    "maximal clique enumeration capped at ...", so that record bytes stay
+    the same.
+    ``neighborliness_steps`` still counts the
     steps of a level-by-level scan of the i-subsets in lexicographic order;
     ``neighborliness`` no longer takes those steps, but returns or raises
     exactly where that scan would, so the same trials are capped.
@@ -151,21 +155,12 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     connected = neighborhood_complex_components(g) <= 1
     empty = g.edge_count == 0
 
-    # one enumeration serves the clique number and the certificates
-    cliques: Optional[list[tuple[int, ...]]] = None
-    clique_cap: Optional[ResourceCapError] = None
-    if cfg.clique_stats or cfg.certificates:
-        try:
-            cliques = maximal_cliques(g, vertex_cap=caps.clique_vertices)
-        except ResourceCapError as err:
-            clique_cap = err
-
     omega: Optional[int] = None
     if cfg.clique_stats:
-        if cliques is None:
-            errors.append(f"clique_number: {clique_cap}")
-        else:
-            omega = max((len(c) for c in cliques), default=0)
+        try:
+            omega = len(maximum_clique(g, vertex_cap=caps.clique_vertices))
+        except ResourceCapError as err:
+            errors.append(f"clique_number: {err}")
 
     nbl: Optional[int] = None
     if cfg.neighborliness:
@@ -201,11 +196,11 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
 
     certs: Optional[tuple[int, ...]] = None
     if cfg.certificates:
-        if cliques is None:
-            errors.append(f"certificates: {clique_cap}")
-        else:
-            certs = tuple(c.sphere_dim
-                          for c in _certificates_from_cliques(g, cliques))
+        try:
+            certs = tuple(c.sphere_dim for c in find_sphere_certificates(
+                g, vertex_cap=caps.clique_vertices))
+        except ResourceCapError as err:
+            errors.append(f"certificates: {err}")
 
     return TrialRecord(
         trial_index=trial_index, p_index=p_index, p=p, seed=seed,

@@ -1,11 +1,16 @@
 """Simple undirected graphs: construction, named families, seeded random
-sampling, a plain text edge-list format, maximal cliques, and exact
-subgraph detectors.
+sampling, a plain text edge-list format, cliques, and exact subgraph
+detectors.
 
 Vertices are always 0..n-1.  Graphs are immutable, and their one adjacency
 encoding is an int bitmask per vertex: bit w of ``masks[v]`` is set iff vw
-is an edge.  Every layer works on those masks: :func:`maximal_cliques` is
-Bron–Kerbosch with the Tomita pivot, one int AND per candidate-set update.
+is an edge.  Every layer works on those masks, one int AND per
+candidate-set update.  :func:`maximum_clique` finds the clique number
+without listing cliques: a Carraghan–Pardalos depth-first search that takes
+candidates in ascending order and drops a branch once its clique plus all
+its candidates cannot beat the best clique found.  :func:`maximal_cliques`
+lists every maximal clique (Bron–Kerbosch with the Tomita pivot); no
+runtime route needs that list, and the tests use it as the oracle.
 """
 
 from __future__ import annotations
@@ -357,6 +362,15 @@ def _expand(adj: Sequence[int], r: int, p: int, x: int,
         cand ^= low
 
 
+def _require_clique_size(g: Graph, vertex_cap: int) -> None:
+    # the wording predates maximum_clique and is kept: survey records and
+    # CLI errors carry it
+    if g.n > vertex_cap:
+        raise ResourceCapError(
+            f"maximal clique enumeration capped at {vertex_cap} vertices "
+            f"(got {g.n}); raise vertex_cap to override")
+
+
 def maximal_cliques(g: Graph, vertex_cap: int = 64) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, listed lexicographically.
 
@@ -364,10 +378,7 @@ def maximal_cliques(g: Graph, vertex_cap: int = 64) -> list[tuple[int, ...]]:
     is the candidate or excluded vertex that eliminates the most
     candidates, smallest index on ties, so the search never varies.
     """
-    if g.n > vertex_cap:
-        raise ResourceCapError(
-            f"maximal clique enumeration capped at {vertex_cap} vertices "
-            f"(got {g.n}); raise vertex_cap to override")
+    _require_clique_size(g, vertex_cap)
     if g.n == 0:
         return []
     out: list[tuple[int, ...]] = []
@@ -375,10 +386,40 @@ def maximal_cliques(g: Graph, vertex_cap: int = 64) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _largest(adj: Sequence[int], r: int, size: int, cand: int,
+             best: tuple[int, int]) -> tuple[int, int]:
+    """The better of ``best`` and the first largest clique that extends
+    the clique ``r`` (of order ``size``) from ``cand``; cliques are given
+    as (order, bitmask)."""
+    if not cand:
+        return (size, r) if size > best[0] else best
+    while cand and size + cand.bit_count() > best[0]:
+        low = cand & -cand
+        cand ^= low
+        best = _largest(adj, r | low, size + 1,
+                        cand & adj[low.bit_length() - 1], best)
+    return best
+
+
+def maximum_clique(g: Graph, vertex_cap: int = 64) -> tuple[int, ...]:
+    """The lexicographically first largest clique, sorted (() when n = 0).
+
+    Carraghan–Pardalos: a depth-first search that adds candidates in
+    ascending order, narrows the candidates with one AND against the new
+    vertex's mask, and drops a branch when its clique plus all its
+    candidates is no larger than the best clique so far.  Until the
+    lexicographically first largest clique M is reached the best is
+    smaller than M, so M's branch is never dropped, and every clique of
+    M's order that the search meets before M would precede it.
+    """
+    _require_clique_size(g, vertex_cap)
+    _, r = _largest(g.masks, 0, 0, (1 << g.n) - 1, (0, 0))
+    return tuple(_bits(r))
+
+
 def clique_number(g: Graph, vertex_cap: int = 64) -> int:
     """Order of the largest clique (0 for the empty graph)."""
-    cliques = maximal_cliques(g, vertex_cap=vertex_cap)
-    return max((len(c) for c in cliques), default=0)
+    return len(maximum_clique(g, vertex_cap=vertex_cap))
 
 
 # ---------------------------------------------------------------------------

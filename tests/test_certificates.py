@@ -344,6 +344,21 @@ def test_first_certificate_matches_the_all_index_search():
     assert searched > 0 and free > 0  # the samples reach the full search
 
 
+def test_simplicial_cliques_give_the_certificates_of_the_enumeration():
+    found = 0
+    for g in certificate_search_graphs():
+        adj = g.masks
+        cliques = graphs.maximal_cliques(g, vertex_cap=g.n)
+        # the maximal cliques with a member whose neighborhood they contain
+        contained = [x for x in cliques
+                     if any(not adj[u] & ~sum(1 << w for w in x) for u in x)]
+        assert certificates._simplicial_cliques(g, g.n) == contained
+        want = certificates._certificates_from_cliques(g, cliques)
+        assert find_sphere_certificates(g, vertex_cap=g.n) == want
+        found += len(want)
+    assert found > 0
+
+
 def test_first_certificate_searches_only_contained_members(monkeypatch):
     calls = []
     inner = certificates._search_obstruction
@@ -442,34 +457,36 @@ def test_bound_comparison_records_capped_fields_as_missing():
 @pytest.mark.parametrize("g, coloring_cap, missing", [
     (gnp_sample(9, 0.5, 17), 20, ()),
     (gnp_sample(9, 0.5, 17), 5, ("chromatic_number",)),
-    # past the enumerator's 64-vertex cap: coloring, clique number and
+    # past the 64-vertex clique cap: coloring, clique number and
     # certificates all go missing, whatever the coloring cap says
     (path_graph(65), 20,
      ("chromatic_number", "clique_number", "best_certificate_dim")),
     (path_graph(65), 100,
      ("chromatic_number", "clique_number", "best_certificate_dim")),
-], ids=["uncapped", "coloring-cap", "clique-cap", "clique-cap-only"])
-def test_bound_comparison_enumerates_maximal_cliques_once(
+    (gnp_sample(12, 0.3, 0), 20, ()),  # a graph with certificates
+], ids=["uncapped", "coloring-cap", "clique-cap", "clique-cap-only",
+        "certified"])
+def test_bound_comparison_never_enumerates_maximal_cliques(
         monkeypatch, g, coloring_cap, missing):
-    calls = []
-    enumerate_cliques = graphs.maximal_cliques
+    oracle = graphs.maximal_cliques
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_cliques(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound_comparison enumerated maximal cliques")
 
-    # patched where it is defined and wherever a module imported it
-    for module in (graphs, certificates):
-        monkeypatch.setattr(module, "maximal_cliques", counted)
+    # patched where it is defined and in the module that used to import it
+    monkeypatch.setattr(graphs, "maximal_cliques", refuse)
+    monkeypatch.setattr(certificates, "maximal_cliques", refuse,
+                        raising=False)
     r = bound_comparison(g, coloring_cap=coloring_cap)
     monkeypatch.undo()
-    assert len(calls) == 1
     assert r.missing == missing
     if "chromatic_number" not in missing:
         assert r.chromatic_number == chromatic_number_exact(g)
     if "clique_number" not in missing:
-        assert r.clique_number == clique_number(g)
-        best = max((c.sphere_dim for c in find_sphere_certificates(g)),
+        cliques = oracle(g)
+        assert r.clique_number == max(len(c) for c in cliques)
+        best = max((c.sphere_dim for c in
+                    certificates._certificates_from_cliques(g, cliques)),
                    default=None)
         assert r.best_certificate_dim == best
 

@@ -333,6 +333,39 @@ def test_retract_bytes_match_their_golden_digests(capsys, source):
     assert hashlib.sha256(out.encode()).hexdigest() == RETRACT_GOLDEN[source]
 
 
+# sha256 of the exit code, stdout and stderr of each call, concatenated
+# over the sources, taken while certify and chromatic enumerated the
+# maximal cliques; path:70 passes the 64-vertex clique cap
+CLIQUE_SOURCES = ["--family complete:5", "--family cycle:5",
+                  "--family kneser:2,1", "--family xn:3",
+                  "--family complete_bipartite:3,4", "--family path:6",
+                  "--gnp 8 0.5 0", "--gnp 12 0.3 0", "--gnp 14 0.4 3",
+                  "--gnp 16 0.2 5", "--family path:70"]
+CLIQUE_GOLDEN = {
+    "certify": (
+        CLIQUE_SOURCES + ["--gnp 20 0.3 6", "--gnp 30 0.2 3",
+                          "--gnp 40 0.1 4", "--gnp 40 0.8 4",
+                          "--gnp 64 0.1 1"],
+        "b788a7ff16652888c2c94497afbb776818a8ff3b46dbda1c8eab26d931c5ef29"),
+    "chromatic": (
+        CLIQUE_SOURCES,
+        "a1b0b74f6c1cd473edd059ba94c742ae8e36d30ae77c2fdbbf653bf20b02fc52"),
+    "chromatic --format csv": (
+        CLIQUE_SOURCES,
+        "9ea471e74547e2800e458086e99d131698b059b0dd0c869791aa5a2d26522e92"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLIQUE_GOLDEN))
+def test_clique_command_bytes_match_their_golden_digests(capsys, command):
+    sources, digest = CLIQUE_GOLDEN[command]
+    text = ""
+    for source in sources:
+        code, out, err = run_cli(capsys, *command.split(), *source.split())
+        text += f"{code}\n{out}{err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_retract_runs_above_sixteen_vertices(capsys):
     code, out, _ = run_cli(capsys, "retract", "--gnp", "18", "0.5", "1")
     assert code == 0

@@ -181,27 +181,30 @@ def test_a_homology_trial_builds_the_complex_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_trial_enumerates_maximal_cliques_once(monkeypatch):
-    calls = []
-    enumerate_cliques = graphs.maximal_cliques
+def test_a_trial_never_enumerates_maximal_cliques(monkeypatch):
+    oracle = graphs.maximal_cliques
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_cliques(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a survey trial enumerated maximal cliques")
 
-    # patched where it is defined and wherever a module imported it
-    for module in (graphs, certificates, experiments):
-        monkeypatch.setattr(module, "maximal_cliques", counted)
-    cfg = tiny_config(n=9, p_grid=(0.5,), trials=1, clique_stats=True,
-                      certificates=True, neighborliness=True)
-    r = run_trial(cfg, 0, 0)
+    # patched where it is defined and in the modules that used to import it
+    monkeypatch.setattr(graphs, "maximal_cliques", refuse)
+    for module in (certificates, experiments):
+        monkeypatch.setattr(module, "maximal_cliques", refuse, raising=False)
+    cfg = tiny_config(n=9, p_grid=(0.3, 0.5, 0.8), trials=4,
+                      clique_stats=True, certificates=True,
+                      neighborliness=True)
+    records = run_survey(cfg)
     monkeypatch.undo()
-    assert len(calls) == 1
-    assert r.errors == ()
-    g = gnp_sample(cfg.n, r.p, r.seed)
-    assert r.clique_number == clique_number(g)
-    assert r.certificates == tuple(c.sphere_dim
-                                   for c in find_sphere_certificates(g))
+    for r in records:
+        assert r.errors == ()
+        g = gnp_sample(cfg.n, r.p, r.seed)
+        cliques = oracle(g)
+        assert r.clique_number == max(len(c) for c in cliques)
+        assert r.certificates == tuple(
+            c.sphere_dim
+            for c in certificates._certificates_from_cliques(g, cliques))
+    assert any(r.certificates for r in records)
 
 
 def test_clique_cap_errors_keep_their_text_and_order():
@@ -467,6 +470,26 @@ GOLDEN = {
                          caps=Caps(faces_per_dim=300)),
         "76c19e3e9b75c58cdc266555498b9aa2da2f6cadbc62c433999f252937e863aa",
         "011ff094c1c93f83b57e48bb190ecde60e0468a6181653e3e0a52c44cc11ff4f"),
+    # trimmed copies of the benchmark's survey configs, and a clique-capped
+    # survey, taken while trials still enumerated the maximal cliques
+    "features_n30": (
+        ExperimentConfig(n=30, p_grid=(.3, .6), trials=30, master_seed=1,
+                         homology=False, clique_stats=True,
+                         certificates=True, neighborliness=True),
+        "6601bd9a9108d10749433f18d156e1b26ffe79508033cf0791458c4646c59055",
+        "b8bfe2e2c1b3434cd586fad8ffccf3adda9e89c41cd181c3d9dd2df23b6949a7"),
+    "connectivity_n12": (
+        ExperimentConfig(n=12, p_grid=(.35, .4), trials=20, master_seed=1,
+                         max_dim=3, clique_stats=True, certificates=True),
+        "268aa69a33d983573f371b26ef5345d712651f9666c0545b931fd317f074edf3",
+        "0feb436cea2064b8f8c0b0564283cccf5e2951fcd741449407f731951b22d6d6"),
+    "cliquecap_n9": (
+        ExperimentConfig(n=9, p_grid=(.3, .7), trials=5, master_seed=2,
+                         max_dim=3, clique_stats=True, certificates=True,
+                         neighborliness=True,
+                         caps=Caps(clique_vertices=8)),
+        "175f93705a201d689025d8ad790b5ffe69480b586120caa9fb3a1cd2e7d324d6",
+        "9561600d610108337abac6c31f1d217cd46476bc8552c94337473b1e131373fb"),
     "nohom_n30": (
         ExperimentConfig(n=30, p_grid=(.3, .5), trials=20, master_seed=1,
                          homology=False, clique_stats=True,

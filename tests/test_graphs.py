@@ -22,9 +22,9 @@ from nbcomplex import (Graph, ParseError, ResourceCapError, SubgraphWitness,
                        contains_complete_bipartite, contains_xn, cycle_graph,
                        density, derive_trial_seed, from_family_spec,
                        gnp_sample, is_strictly_balanced, kneser_graph,
-                       make_named_graph, maximal_cliques, parse_edge_list,
-                       path_graph, serialize_edge_list, witness_is_valid,
-                       xn_graph)
+                       make_named_graph, maximal_cliques, maximum_clique,
+                       parse_edge_list, path_graph, serialize_edge_list,
+                       witness_is_valid, xn_graph)
 from nbcomplex import graphs
 from nbcomplex.seeds import mix64, unit_threshold
 
@@ -378,6 +378,46 @@ def test_clique_number_examples():
     assert clique_number(complete_graph(6)) == 6
     assert clique_number(cycle_graph(5)) == 2
     assert clique_number(kneser_graph(2, 1)) == 2
+
+
+def lex_first_largest_clique(g):
+    """The first largest member of the full enumeration: the oracle for
+    ``maximum_clique``."""
+    cliques = maximal_cliques(g, vertex_cap=g.n)
+    omega = max((len(c) for c in cliques), default=0)
+    return next((c for c in cliques if len(c) == omega), ())
+
+
+def test_maximum_clique_is_the_lex_first_largest_maximal_clique():
+    seeded = [gnp_sample(n, p, 71_000 + 1000 * n + int(100 * p) + t)
+              for n in (*range(15), 20, 30, 40)
+              for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+              for t in range(3)]
+    named = [Graph.from_edges(7, []), complete_graph(9), cycle_graph(5),
+             from_family_spec("kneser:5,2"), from_family_spec("kneser:2,1"),
+             from_family_spec("xn:3")]
+    for g in seeded + named:
+        assert maximum_clique(g, vertex_cap=g.n) == lex_first_largest_clique(g)
+    assert maximum_clique(Graph.from_edges(0, [])) == ()
+    assert maximum_clique(cycle_graph(5)) == (0, 1)
+
+
+@settings(max_examples=150)
+@given(small_graphs(10))
+@example(Graph.from_edges(0, []))
+@example(complete_graph(10))
+def test_maximum_clique_matches_the_enumeration_on_small_graphs(g):
+    assert maximum_clique(g) == lex_first_largest_clique(g)
+    assert clique_number(g) == len(lex_first_largest_clique(g))
+
+
+def test_clique_search_and_enumeration_share_one_cap_message():
+    message = ("maximal clique enumeration capped at 4 vertices (got 5); "
+               "raise vertex_cap to override")
+    for fn in (maximal_cliques, maximum_clique, clique_number):
+        with pytest.raises(ResourceCapError) as err:
+            fn(complete_graph(5), vertex_cap=4)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
