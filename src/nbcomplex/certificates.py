@@ -29,11 +29,19 @@ closed neighborhoods that are cliques, which one pass over the vertices
 lists; :func:`find_sphere_certificates` searches those and never lists the
 maximal cliques.  Every certificate is still rechecked by the independent
 plain-loop rescan ``_revalidate``.
+
+Exact coloring runs on the same masks: a color class is a vertex bitmask,
+and a vertex's saturation is the number of classes its mask meets.
+:func:`chromatic_number_exact` pre-colors the lexicographically first
+maximum clique and runs DSATUR (Brélaz, CACM 1979) up to a first-fit bound.
+:func:`bound_comparison` takes the clique number and that seed from one
+:func:`~nbcomplex.graphs.maximum_clique` call, and :class:`BoundComparison`
+spells its record once, for JSON and for CSV.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -314,23 +322,23 @@ def neighborliness_chromatic_bound(g: Graph, work_cap: int = 5_000_000) -> int:
             best=None if err.best is None else err.best + 1) from None
 
 
-def _greedy_bound(g: Graph) -> int:
-    adj = g.adj
-    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
-    color: dict[int, int] = {}
-    best = 0
-    for v in order:
-        used = {color[w] for w in adj[v] if w in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-        best = max(best, c + 1)
-    return best
+def _greedy_bound(adj: Sequence[int]) -> int:
+    """Colors of a first-fit coloring of the graph with adjacency bitmasks
+    ``adj``: vertices by degree, largest first and smallest index on ties,
+    each into the first color class holding none of its neighbors."""
+    classes: list[int] = []
+    for v in sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v)):
+        for i, cls in enumerate(classes):
+            if not cls & adj[v]:
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def chromatic_number_exact(g: Graph, vertex_cap: int = 20) -> int:
-    """Exact chromatic number by branch and bound.
+    """Exact chromatic number by branch and bound (DSATUR).
 
     Seeded with the clique number below and a greedy coloring above; the
     lexicographically first maximum clique is pre-colored to break
@@ -338,56 +346,50 @@ def chromatic_number_exact(g: Graph, vertex_cap: int = 20) -> int:
     neighbor colors, smallest index on ties, and tries colors in numeric
     order.
     """
-    _require_coloring_size(g, vertex_cap)
-    return _chromatic_from_clique(g, maximum_clique(g))
-
-
-def _require_coloring_size(g: Graph, vertex_cap: int) -> None:
     if g.n > vertex_cap:
         raise ResourceCapError(
             f"exact coloring capped at {vertex_cap} vertices (got {g.n}); "
             f"raise vertex_cap to override")
+    return _chromatic_from_clique(g.masks, maximum_clique(g))
 
 
-def _chromatic_from_clique(g: Graph, seed_clique: tuple[int, ...]) -> int:
-    """:func:`chromatic_number_exact` given the lexicographically first
-    maximum clique of ``g``, past its vertex cap."""
-    if g.n == 0:
-        return 0
-    omega = len(seed_clique)
-    ub = _greedy_bound(g)
-    if omega == ub:
-        return omega
-    adj = g.adj
-
-    def colorable(k: int) -> bool:
-        color: dict[int, int] = {v: i for i, v in enumerate(seed_clique)}
-
-        def step() -> bool:
-            if len(color) == g.n:
-                return True
-            best_v, best_sat = -1, -1
-            for v in range(g.n):
-                if v in color:
-                    continue
-                sat = len({color[w] for w in adj[v] if w in color})
-                if sat > best_sat:
-                    best_v, best_sat = v, sat
-            used_count = max(color.values()) + 1
-            for c in range(min(k, used_count + 1)):
-                if all(color.get(w) != c for w in adj[best_v]):
-                    color[best_v] = c
-                    if step():
-                        return True
-                    del color[best_v]
-            return False
-
-        return step()
-
-    for k in range(omega, ub):
-        if colorable(k):
+def _chromatic_from_clique(adj: Sequence[int],
+                           seed_clique: tuple[int, ...]) -> int:
+    """:func:`chromatic_number_exact` on the adjacency bitmasks ``adj``,
+    given the graph's lexicographically first maximum clique, past its
+    vertex cap."""
+    ub = _greedy_bound(adj)
+    for k in range(len(seed_clique), ub):
+        classes = [1 << v for v in seed_clique]
+        if _colorable(adj, classes, (1 << len(adj)) - 1 - sum(classes), k):
             return k
     return ub
+
+
+def _colorable(adj: Sequence[int], classes: list[int], uncolored: int,
+               k: int) -> bool:
+    """Whether the partial coloring ``classes`` (one vertex bitmask per
+    color, restored when False) extends to the ``uncolored`` vertices with
+    at most k colors.  A vertex's saturation is the number of classes its
+    mask meets; ``max`` keeps the smallest index on ties."""
+    if not uncolored:
+        return True
+    v = max(_bits(uncolored),
+            key=lambda u: sum(1 for cls in classes if cls & adj[u]))
+    bit = 1 << v
+    uncolored ^= bit
+    for c, cls in enumerate(classes):
+        if not cls & adj[v]:
+            classes[c] = cls | bit
+            if _colorable(adj, classes, uncolored, k):
+                return True
+            classes[c] = cls
+    if len(classes) < k:
+        classes.append(bit)
+        if _colorable(adj, classes, uncolored, k):
+            return True
+        classes.pop()
+    return False
 
 
 @dataclass(frozen=True)
@@ -409,14 +411,39 @@ class BoundComparison:
     best_certificate_dim: Optional[int]
     missing: tuple[str, ...]
 
+    def to_json_dict(self) -> dict:
+        """The fields in order, an AtLeast connectivity as its ">=k" text
+        and ``missing`` as a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.hom_connectivity, AtLeast):
+            out["hom_connectivity"] = str(self.hom_connectivity)
+        out["missing"] = list(self.missing)
+        return out
+
 
 def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
     """Compute the comparison record, asserting the provable inequalities
     (chromatic number at least clique number and at least the
-    neighborliness bound) before returning."""
+    neighborliness bound) before returning.
+
+    One maximum-clique search gives the clique number and the coloring's
+    seed clique; a capped search leaves both missing.  The coloring runs
+    only when n <= ``coloring_cap``.
+    """
     if g.n < 1:
         raise ValueError("comparison needs at least one vertex")
-    missing: list[str] = []
+    try:
+        clique = maximum_clique(g)
+    except ResourceCapError:
+        clique = None
+    chi = omega = None
+    if clique is not None:
+        omega = len(clique)
+        if g.n <= coloring_cap:
+            chi = _chromatic_from_clique(g.masks, clique)
+    missing = [name for name, value in (("chromatic_number", chi),
+                                        ("clique_number", omega))
+               if value is None]
 
     def attempt(name, fn):
         try:
@@ -425,24 +452,6 @@ def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
             missing.append(name)
             return None
 
-    # one search gives the clique number and the coloring's seed clique; a
-    # capped one leaves both missing
-    try:
-        seed_clique, clique_cap = maximum_clique(g), None
-    except ResourceCapError as err:
-        seed_clique, clique_cap = None, err
-
-    def from_clique(fn):
-        if seed_clique is None:
-            raise clique_cap
-        return fn(seed_clique)
-
-    def chromatic():
-        _require_coloring_size(g, coloring_cap)
-        return from_clique(lambda c: _chromatic_from_clique(g, c))
-
-    chi = attempt("chromatic_number", chromatic)
-    omega = attempt("clique_number", lambda: from_clique(len))
     nbound = attempt("neighborliness_bound",
                      lambda: neighborliness_chromatic_bound(g))
     conn = attempt("hom_connectivity",
@@ -453,7 +462,7 @@ def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
     if certs is not None:
         best_dim = max((c.sphere_dim for c in certs), default=None)
 
-    if chi is not None and omega is not None and chi < omega:
+    if chi is not None and chi < omega:
         raise RuntimeError(f"coloring bug: chi={chi} below clique number {omega}")
     if chi is not None and nbound is not None and chi < nbound:
         raise RuntimeError(
@@ -462,22 +471,14 @@ def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
                            best_dim, tuple(missing))
 
 
-_CSV_COLUMNS = ("n", "edges", "chromatic_number", "clique_number",
-                "neighborliness_bound", "hom_connectivity",
-                "best_certificate_dim", "missing")
-
-
 def comparisons_csv(records: Sequence[BoundComparison]) -> str:
-    """Render comparison records as CSV with a fixed header."""
-    lines = [",".join(_CSV_COLUMNS)]
+    """Render comparison records as CSV with a fixed header: the fields of
+    :meth:`BoundComparison.to_json_dict`, None empty and ``missing`` joined
+    by semicolons."""
+    lines = [",".join(f.name for f in fields(BoundComparison))]
     for r in records:
-        conn = "" if r.hom_connectivity is None else str(r.hom_connectivity)
-        row = [str(r.n), str(r.edges),
-               "" if r.chromatic_number is None else str(r.chromatic_number),
-               "" if r.clique_number is None else str(r.clique_number),
-               "" if r.neighborliness_bound is None else str(r.neighborliness_bound),
-               conn,
-               "" if r.best_certificate_dim is None else str(r.best_certificate_dim),
-               ";".join(r.missing)]
-        lines.append(",".join(row))
+        row = r.to_json_dict()
+        row["missing"] = ";".join(r.missing)
+        lines.append(",".join("" if v is None else str(v)
+                              for v in row.values()))
     return "\n".join(lines) + "\n"

@@ -14,8 +14,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import asymptotics
-from .certificates import (BoundComparison, bound_comparison,
-                           comparisons_csv, find_sphere_certificates)
+from .certificates import (bound_comparison, comparisons_csv,
+                           find_sphere_certificates)
 from .complexes import (closed_set_poset, facet_list_text, lovasz_retract,
                         neighborhood_complex, parse_facet_list)
 from .errors import ResourceCapError
@@ -23,7 +23,7 @@ from .experiments import (ExperimentConfig, aggregate, betti_sweep,
                           records_to_csv, records_to_jsonl, run_survey)
 from .graphs import (density, from_family_spec, gnp_sample, parse_edge_list,
                      serialize_edge_list)
-from .homology import (AtLeast, core_boundary_matrices, graph_homology,
+from .homology import (core_boundary_matrices, graph_homology,
                        homology_integer)
 
 _FEATURES = ("homology", "neighborliness", "certificates", "cliques")
@@ -106,11 +106,9 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    with_field2 = args.coeff != "z"
     if args.facets is None:
         result, source = graph_homology(_load_graph(args),
-                                        max_dim=args.max_dim,
-                                        with_field2=with_field2)
+                                        max_dim=args.max_dim)
     else:
         if any(getattr(args, k) is not None
                for k in ("input", "family", "gnp")):
@@ -118,12 +116,13 @@ def _cmd_homology(args) -> int:
         with open(args.facets, encoding="utf-8") as fh:
             comp = parse_facet_list(fh.read())
         result = homology_integer(
-            core_boundary_matrices(comp, max_dim=args.max_dim),
-            with_field2=with_field2)
+            core_boundary_matrices(comp, max_dim=args.max_dim))
         source = "facets"
     out = result.to_json_dict()
     if args.coeff == "f2":
         out["betti"] = out["torsion"] = None
+    elif args.coeff == "z":
+        out["field2"] = None
     out["source"] = source
     _emit_json(out, args.output)
     return 0
@@ -155,28 +154,12 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _comparison_json(r: BoundComparison) -> dict:
-    conn = r.hom_connectivity
-    if isinstance(conn, AtLeast):
-        conn = str(conn)
-    return {
-        "n": r.n,
-        "edges": r.edges,
-        "chromatic_number": r.chromatic_number,
-        "clique_number": r.clique_number,
-        "neighborliness_bound": r.neighborliness_bound,
-        "hom_connectivity": conn,
-        "best_certificate_dim": r.best_certificate_dim,
-        "missing": list(r.missing),
-    }
-
-
 def _cmd_chromatic(args) -> int:
     record = bound_comparison(_load_graph(args), coloring_cap=args.vertex_cap)
     if args.format == "csv":
         _emit(comparisons_csv([record]), args.output)
     else:
-        _emit_json(_comparison_json(record), args.output)
+        _emit_json(record.to_json_dict(), args.output)
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError, ResourceCapError
@@ -184,11 +185,12 @@ def kneser_graph(n: int, k: int) -> Graph:
     0.. in lexicographic subset order; edges join disjoint subsets."""
     if n < 1 or k < 0:
         raise ValueError(f"kneser parameters need n >= 1 and k >= 0, got ({n}, {k})")
-    subsets = [frozenset(c) for c in combinations(range(2 * n + k), n)]
-    if len(subsets) > _KNESER_VERTEX_CAP:
+    count = comb(2 * n + k, n)
+    if count > _KNESER_VERTEX_CAP:
         raise ValueError(
-            f"kneser({n}, {k}) has {len(subsets)} vertices, beyond the "
+            f"kneser({n}, {k}) has {count} vertices, beyond the "
             f"supported {_KNESER_VERTEX_CAP}")
+    subsets = [frozenset(c) for c in combinations(range(2 * n + k), n)]
     edges = [(i, j) for i, j in combinations(range(len(subsets)), 2)
              if not subsets[i] & subsets[j]]
     return Graph.from_edges(len(subsets), edges)

@@ -12,10 +12,11 @@ clears as it goes: a k-face that was a unit pivot row of the map on
 pivots form a square block of determinant +-1, so the cleared columns are
 integer combinations of the kept ones (see :func:`homology_integer`); the
 column lattice and every invariant factor stay the same, whether or not the
-map above left a residue.  GF(2) ranks are read off the same invariant
-factors as the number of odd ones.  Bitset elimination over GF(2)
-(:func:`betti_field2`) is no route of its own: it stays only as the tests'
-independent check.
+map above left a residue.  GF(2) Betti numbers are no separate
+computation: by universal coefficients they follow from the integer Betti
+numbers and torsion (:attr:`HomologyResult.field2`).  Bitset elimination
+over GF(2) (:func:`betti_field2`) is no route of its own: it stays only as
+the tests' independent check.
 """
 
 from __future__ import annotations
@@ -308,14 +309,12 @@ class HomologyResult:
     """Reduced homology in dimensions 0..max_dim.
 
     ``betti`` are free ranks over the integers; ``torsion[k]`` lists the
-    nontrivial invariant factors of H_k in divisibility order; ``field2``
-    holds GF(2) Betti numbers when they were requested.  ``empty`` marks the
-    empty complex, whose reported groups all vanish.
+    nontrivial invariant factors of H_k in divisibility order.  ``empty``
+    marks the empty complex, whose reported groups all vanish.
     """
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    field2: Optional[tuple[int, ...]]
     truncated: bool
     empty: bool
 
@@ -323,11 +322,22 @@ class HomologyResult:
     def max_dim(self) -> int:
         return len(self.betti) - 1
 
+    @property
+    def field2(self) -> tuple[int, ...]:
+        """Reduced Betti numbers over GF(2), by universal coefficients.
+
+        H_k(X; Z/2) = H_k (x) Z/2 + Tor(H_{k-1}, Z/2): each free rank and
+        each even invariant factor of H_k and of H_{k-1} adds one.
+        """
+        even = [sum(1 for f in t if not f & 1) for t in self.torsion]
+        return tuple(b + even[k] + (even[k - 1] if k else 0)
+                     for k, b in enumerate(self.betti))
+
     def to_json_dict(self) -> dict:
         return {
             "betti": list(self.betti),
             "torsion": [list(t) for t in self.torsion],
-            "field2": list(self.field2) if self.field2 is not None else None,
+            "field2": list(self.field2),
             "truncated": self.truncated,
         }
 
@@ -339,8 +349,7 @@ def betti_field2(d: ChainComplexData) -> tuple[int, ...]:
                  for k in range(d.max_dim + 1))
 
 
-def homology_integer(d: ChainComplexData,
-                     with_field2: bool = False) -> HomologyResult:
+def homology_integer(d: ChainComplexData) -> HomologyResult:
     """Exact integer homology (free ranks plus torsion) from chain data.
 
     The boundary maps are reduced from the top dimension down, and a
@@ -353,9 +362,8 @@ def homology_integer(d: ChainComplexData,
     inverse.  The dropped columns are integer combinations of the kept
     ones, so the column lattice, the rank and the factors are unchanged.
 
-    With ``with_field2`` the GF(2) rank of each map is its number of odd
-    invariant factors: the Smith transforms are unimodular, so they stay
-    invertible mod 2.
+    The result's GF(2) Betti numbers are derived from its Betti numbers and
+    torsion (:attr:`HomologyResult.field2`); nothing more is reduced.
     """
     snf = []
     cleared = frozenset()
@@ -372,13 +380,8 @@ def homology_integer(d: ChainComplexData,
         rank_up = snf[k + 1][0]
         betti.append(d.face_count(k) - rank_k - rank_up)
         torsion.append(tuple(f for f in snf[k + 1][1] if f > 1))
-    field2 = None
-    if with_field2:
-        odd = [sum(f & 1 for f in factors) for _, factors in snf]
-        field2 = tuple(d.face_count(k) - odd[k] - odd[k + 1]
-                       for k in range(d.max_dim + 1))
-    return HomologyResult(tuple(betti), tuple(torsion), field2,
-                          d.truncated, d.face_count(0) == 0)
+    return HomologyResult(tuple(betti), tuple(torsion), d.truncated,
+                          d.face_count(0) == 0)
 
 
 def euler_characteristic(c: SimplicialComplex, d: ChainComplexData) -> int:
@@ -408,7 +411,7 @@ def homological_connectivity(h: HomologyResult) -> Connectivity:
     return AtLeast(h.max_dim)
 
 
-def graph_homology(g, max_dim: Optional[int] = None, with_field2: bool = False,
+def graph_homology(g, max_dim: Optional[int] = None,
                    face_cap: int = 500_000) -> tuple[HomologyResult, str]:
     """Homology of a graph's neighborhood complex, through its strong core.
 
@@ -420,4 +423,4 @@ def graph_homology(g, max_dim: Optional[int] = None, with_field2: bool = False,
     closed-set retract).
     """
     data = core_boundary_matrices(neighborhood_complex(g), max_dim, face_cap)
-    return homology_integer(data, with_field2=with_field2), "direct"
+    return homology_integer(data), "direct"

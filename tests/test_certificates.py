@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from nbcomplex import certificates, graphs
-from nbcomplex import (Graph, ObstructionWitness, ResourceCapError,
-                       SphereCertificate, bound_comparison,
+from nbcomplex import (AtLeast, BoundComparison, Graph, ObstructionWitness,
+                       ResourceCapError, SphereCertificate, bound_comparison,
                        chromatic_number_exact, clique_number,
                        comparisons_csv,
                        complete_graph, cycle_graph,
@@ -500,3 +500,28 @@ def test_comparisons_csv_layout():
                         "best_certificate_dim,missing")
     assert len(lines) == 3
     assert all(line.count(",") == 7 for line in lines)
+
+
+def test_comparison_json_and_csv_spell_the_same_record():
+    vanishing = BoundComparison(1, 0, 1, 1, 1, AtLeast(0), None, ())
+    capped = BoundComparison(
+        65, 64, None, None, 2, -1, None,
+        ("chromatic_number", "clique_number", "best_certificate_dim"))
+    assert vanishing.to_json_dict() == {
+        "n": 1, "edges": 0, "chromatic_number": 1, "clique_number": 1,
+        "neighborliness_bound": 1, "hom_connectivity": ">=0",
+        "best_certificate_dim": None, "missing": []}
+    assert capped.to_json_dict() == {
+        "n": 65, "edges": 64, "chromatic_number": None,
+        "clique_number": None, "neighborliness_bound": 2,
+        "hom_connectivity": -1, "best_certificate_dim": None,
+        "missing": ["chromatic_number", "clique_number",
+                    "best_certificate_dim"]}
+    assert comparisons_csv([vanishing, capped]) == (
+        "n,edges,chromatic_number,clique_number,neighborliness_bound,"
+        "hom_connectivity,best_certificate_dim,missing\n"
+        "1,0,1,1,1,>=0,,\n"
+        "65,64,,,2,-1,,chromatic_number;clique_number;best_certificate_dim\n")
+    # the records the library computes for those two cases
+    assert bound_comparison(complete_graph(1)) == vanishing
+    assert bound_comparison(path_graph(65)) == capped

@@ -8,15 +8,17 @@ import json
 import pytest
 
 from nbcomplex import (ExperimentConfig, Graph, SimplicialComplex,
-                       betti_field2, boundary_matrices, closed_set_stats,
-                       complete_graph, core_boundary_matrices,
+                       betti_field2, bound_comparison, boundary_matrices,
+                       chromatic_number_exact, closed_set_stats,
+                       complete_graph, core_boundary_matrices, cycle_graph,
                        facet_list_text, gnp_sample, graph_homology,
-                       neighborhood_complex, parse_edge_list,
+                       kneser_graph, neighborhood_complex, parse_edge_list,
                        parse_facet_list, records_from_csv,
                        records_from_jsonl, run_survey, run_trial)
 from nbcomplex import cli
 from nbcomplex.cli import main
 
+from test_certificates import mycielski
 from test_homology import REFERENCE_COMPLEXES, REFERENCE_IDS
 
 
@@ -272,7 +274,7 @@ def test_homology_never_reads_facets_as_tuples(monkeypatch, capsys):
     monkeypatch.setattr(SimplicialComplex, "facets", property(refuse))
     k6, _ = graph_homology(complete_graph(6))
     assert k6.betti == (0, 0, 0, 0, 1)
-    sampled, _ = graph_homology(gnp_sample(11, 0.5, 7), with_field2=True)
+    sampled, _ = graph_homology(gnp_sample(11, 0.5, 7))
     assert sampled.field2 is not None
     cfg = ExperimentConfig(n=9, p_grid=(0.5,), trials=1, master_seed=3,
                            neighborliness=True, certificates=True,
@@ -364,6 +366,53 @@ def test_clique_command_bytes_match_their_golden_digests(capsys, command):
         code, out, err = run_cli(capsys, *command.split(), *source.split())
         text += f"{code}\n{out}{err}"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the exit code, stdout and stderr of `chromatic` on seeded
+# G(n, p) graphs whose greedy coloring uses more colors than the clique
+# number, so the exact search backtracks; taken from the search on
+# frozenset adjacency and color dicts
+CHROMATIC_GNP = [(12, 0.5, 11), (12, 0.5, 13), (12, 0.6, 1), (12, 0.6, 3),
+                 (12, 0.7, 1), (12, 0.7, 19), (14, 0.5, 0), (14, 0.5, 7),
+                 (14, 0.6, 0), (14, 0.6, 1), (14, 0.7, 0), (14, 0.7, 2),
+                 (16, 0.5, 1), (16, 0.5, 2), (16, 0.6, 0), (16, 0.6, 2),
+                 (16, 0.7, 2), (16, 0.7, 3), (18, 0.5, 0), (18, 0.5, 1),
+                 (18, 0.6, 0), (18, 0.6, 1), (18, 0.7, 0), (18, 0.7, 2),
+                 (20, 0.5, 0), (20, 0.6, 0), (20, 0.7, 5)]
+CHROMATIC_GOLDEN = \
+    "74a05bafe9b38729cc6bd43dd59b8300e280eec5f2765e264bca90a4a4befac8"
+
+
+def test_chromatic_bytes_of_backtracking_graphs_match_their_golden_digest(
+        capsys):
+    text = ""
+    for n, p, seed in CHROMATIC_GNP:
+        code, out, err = run_cli(capsys, "chromatic", "--gnp", str(n), str(p),
+                                 str(seed))
+        text += f"{code}\n{out}{err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == CHROMATIC_GOLDEN
+
+
+def test_chromatic_layer_never_builds_frozenset_adjacency(monkeypatch,
+                                                          capsys):
+    # color classes are vertex bitmasks over Graph.masks
+    def refuse(self):
+        raise AssertionError("Graph.adj read on a runtime path")
+
+    monkeypatch.setattr(Graph, "adj", property(refuse))
+    assert chromatic_number_exact(mycielski(cycle_graph(5))) == 4
+    assert chromatic_number_exact(kneser_graph(2, 1)) == 3
+    assert [chromatic_number_exact(gnp_sample(n, p, seed))
+            for n, p, seed in CHROMATIC_GNP[:6]] == [5, 4, 5, 4, 7, 5]
+    r = bound_comparison(gnp_sample(12, 0.5, 11))
+    assert (r.chromatic_number, r.clique_number, r.missing) == (5, 4, ())
+    source = ("--gnp", "14", "0.6", "0")
+    code, out, _ = run_cli(capsys, "chromatic", *source)
+    assert code == 0 and json.loads(out)["chromatic_number"] == 5
+    code, out, _ = run_cli(capsys, "chromatic", *source, "--format", "csv")
+    assert code == 0 and out.splitlines()[1].split(",")[2] == "5"
+    code, out, _ = run_cli(capsys, "certify", "--gnp", "12", "0.3", "0")
+    assert code == 0 and json.loads(out)["count"] > 0
 
 
 def test_retract_runs_above_sixteen_vertices(capsys):

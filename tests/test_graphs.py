@@ -152,6 +152,24 @@ def test_kneser_2_1_is_petersen():
         assert not g.neighbors(u) & g.neighbors(v)
 
 
+def test_kneser_refuses_by_count_before_listing_subsets():
+    # C(21, 7) = 116,280 sets would take tens of MB as frozensets; the
+    # count alone decides, so kneser(20, 20) with C(60, 20) ~ 4.2e15 sets
+    # is refused as fast
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="116280 vertices, beyond"):
+            kneser_graph(7, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(ValueError,
+                       match=f"kneser\\(20, 20\\) has {math.comb(60, 20)} "
+                             "vertices, beyond the supported 50000"):
+        kneser_graph(20, 20)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_xn_counts_and_density(k):
     g = xn_graph(k)

@@ -181,7 +181,7 @@ def cleared_reductions(d):
         return rank, factors, pivot_rows
 
     with mock.patch.object(homology, "_smith_reduce", recorded):
-        result = homology_integer(d, with_field2=True)
+        result = homology_integer(d)
     return result, seen[::-1]
 
 
@@ -223,7 +223,7 @@ def test_clearing_holds_when_the_map_above_leaves_a_residue():
 def test_suspended_projective_plane_moves_the_torsion_up():
     d = boundary_matrices(SimplicialComplex.from_faces(8,
                                                        SUSPENDED_RP2_FACETS))
-    r = homology_integer(d, with_field2=True)
+    r = homology_integer(d)
     assert r.betti == (0, 0, 0, 0)
     assert r.torsion == ((), (), (2,), ())
     assert r.field2 == (0, 0, 1, 1)
@@ -233,7 +233,7 @@ def test_suspended_projective_plane_moves_the_torsion_up():
 @given(n=st.integers(1, 8), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
 def test_field2_from_invariant_factors_matches_bitset_ranks(n, p, seed):
     d = boundary_matrices(neighborhood_complex(gnp_sample(n, p, seed)))
-    assert homology_integer(d, with_field2=True).field2 == betti_field2(d)
+    assert homology_integer(d).field2 == betti_field2(d)
 
 
 def test_clearing_skips_the_unit_pivot_rows_of_the_map_above():
@@ -337,7 +337,7 @@ def test_boundary_face_cap():
 
 def test_projective_plane_torsion_and_field2():
     d = boundary_matrices(SimplicialComplex.from_faces(6, RP2_FACETS))
-    r = homology_integer(d, with_field2=True)
+    r = homology_integer(d)
     assert r.betti == (0, 0, 0)
     assert r.torsion == ((), (2,), ())
     assert r.field2 == (0, 1, 1)
@@ -350,7 +350,7 @@ def test_torus_betti_numbers():
     c = SimplicialComplex.from_faces(7, TORUS_FACETS)
     assert c.f_vector() == (7, 21, 14)
     d = boundary_matrices(c)
-    r = homology_integer(d, with_field2=True)
+    r = homology_integer(d)
     assert r.betti == (0, 2, 1)
     assert r.torsion == ((), (), ())
     assert r.field2 == (0, 2, 1)
@@ -359,7 +359,7 @@ def test_torus_betti_numbers():
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_complete_graph_complex_is_a_sphere(m):
-    r, source = graph_homology(complete_graph(m), with_field2=True)
+    r, source = graph_homology(complete_graph(m))
     want = tuple(1 if k == m - 2 else 0 for k in range(m - 1))
     assert r.betti == want
     assert r.field2 == want
@@ -429,7 +429,7 @@ def padded(r, width):
     """(betti, torsion, field2) of a result, zero-padded to ``width``."""
     extra = width - len(r.betti)
     return (r.betti + (0,) * extra, r.torsion + ((),) * extra,
-            r.field2 + (0,) * extra if r.field2 is not None else None)
+            r.field2 + (0,) * extra)
 
 
 def test_bipartite_graph_collapses_to_its_core():
@@ -453,14 +453,13 @@ def test_retract_route_agrees_with_direct_on_samples():
     # neighborhood complex and the order complex of the closed-set poset
     for seed in range(6):
         g = gnp_sample(8, 0.45, 2200 + seed)
-        got, source = graph_homology(g, with_field2=True)
+        got, source = graph_homology(g)
         assert source == "direct"
         direct = homology_integer(
-            boundary_matrices(neighborhood_complex(g)), with_field2=True)
+            boundary_matrices(neighborhood_complex(g)))
         p = closed_set_poset(g)
         retract = homology_integer(boundary_matrices(
-            SimplicialComplex.from_faces(len(p.elements), lovasz_retract(p))),
-            with_field2=True)
+            SimplicialComplex.from_faces(len(p.elements), lovasz_retract(p))))
         width = max(len(got.betti), len(retract.betti))
         assert padded(got, width) == padded(direct, width)
         assert padded(got, width) == padded(retract, width)
@@ -482,10 +481,9 @@ def test_max_dim_truncation_flag():
 def test_result_does_not_depend_on_the_route(n, p, seed, max_dim):
     # the core route equals the unfolded complex's, padding and flags too
     g = gnp_sample(n, p, seed)
-    routed, _ = graph_homology(g, max_dim=max_dim, with_field2=True)
+    routed, _ = graph_homology(g, max_dim=max_dim)
     nc = neighborhood_complex(g)
-    direct = homology_integer(boundary_matrices(nc, max_dim=max_dim),
-                              with_field2=True)
+    direct = homology_integer(boundary_matrices(nc, max_dim=max_dim))
     assert routed == direct
     dim = nc.dimension
     assert routed.truncated == (max_dim is not None and max_dim < dim)
@@ -525,9 +523,8 @@ def test_face_cap_counts_the_core_faces():
 
 
 def assert_core_keeps_homology(c):
-    full = homology_integer(boundary_matrices(c), with_field2=True)
-    core = homology_integer(boundary_matrices(c.strong_core()),
-                            with_field2=True)
+    full = homology_integer(boundary_matrices(c))
+    core = homology_integer(boundary_matrices(c.strong_core()))
     width = max(len(full.betti), len(core.betti))
     assert padded(full, width) == padded(core, width)
     assert full.empty == core.empty
@@ -553,7 +550,7 @@ def test_surfaces_have_no_dominated_vertex_and_keep_torsion(facets, n,
                                                              torsion):
     c = SimplicialComplex.from_faces(n, facets)
     assert c.strong_core() == c
-    r = homology_integer(core_boundary_matrices(c), with_field2=True)
+    r = homology_integer(core_boundary_matrices(c))
     assert r.torsion == torsion
     assert r.field2 == ((0, 1, 1) if torsion[1] else (0, 2, 1))
 
@@ -566,7 +563,7 @@ def test_core_boundary_matrices_keep_the_input_width_and_flags():
     assert d.faces[0] == (1 << 6,)
     r = homology_integer(d)
     assert r.betti == (0, 0) and r.torsion == ((), ())
-    full = homology_integer(core_boundary_matrices(cone), with_field2=True)
+    full = homology_integer(core_boundary_matrices(cone))
     assert full.betti == (0, 0, 0, 0) and full.field2 == (0, 0, 0, 0)
     assert not full.truncated
     empty = homology_integer(core_boundary_matrices(
@@ -575,7 +572,7 @@ def test_core_boundary_matrices_keep_the_input_width_and_flags():
 
 
 def test_result_json_shape():
-    r, _ = graph_homology(cycle_graph(5), with_field2=True)
+    r, _ = graph_homology(cycle_graph(5))
     d = r.to_json_dict()
     assert d == {"betti": [0, 1], "torsion": [[], []],
                  "field2": [0, 1], "truncated": False}
