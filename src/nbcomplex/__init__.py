@@ -25,9 +25,9 @@ from .complexes import (ClosedSetPoset, SimplicialComplex, closed_set_poset,
                         neighborliness, parse_facet_list)
 from .homology import (AtLeast, ChainComplexData, HomologyResult,
                        betti_field2, boundary_matrices,
-                       core_boundary_matrices, euler_characteristic,
-                       graph_homology, homological_connectivity,
-                       homology_integer, smith_normal_form)
+                       euler_characteristic, graph_homology,
+                       homological_connectivity, homology_integer,
+                       smith_normal_form)
 from .certificates import (BoundComparison, ObstructionWitness,
                            SphereCertificate, bound_comparison,
                            chromatic_number_exact, comparisons_csv,

@@ -23,8 +23,7 @@ from .experiments import (ExperimentConfig, aggregate, betti_sweep,
                           records_to_csv, records_to_jsonl, run_survey)
 from .graphs import (density, from_family_spec, gnp_sample, parse_edge_list,
                      serialize_edge_list)
-from .homology import (core_boundary_matrices, graph_homology,
-                       homology_integer)
+from .homology import boundary_matrices, graph_homology, homology_integer
 
 _FEATURES = ("homology", "neighborliness", "certificates", "cliques")
 
@@ -116,7 +115,7 @@ def _cmd_homology(args) -> int:
         with open(args.facets, encoding="utf-8") as fh:
             comp = parse_facet_list(fh.read())
         result = homology_integer(
-            core_boundary_matrices(comp, max_dim=args.max_dim))
+            boundary_matrices(comp, max_dim=args.max_dim))
         source = "facets"
     out = result.to_json_dict()
     if args.coeff == "f2":

@@ -67,7 +67,9 @@ class Graph:
         return bool(self.masks[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return self.masks[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -190,10 +192,14 @@ def kneser_graph(n: int, k: int) -> Graph:
         raise ValueError(
             f"kneser({n}, {k}) has {count} vertices, beyond the "
             f"supported {_KNESER_VERTEX_CAP}")
-    subsets = [frozenset(c) for c in combinations(range(2 * n + k), n)]
-    edges = [(i, j) for i, j in combinations(range(len(subsets)), 2)
-             if not subsets[i] & subsets[j]]
-    return Graph.from_edges(len(subsets), edges)
+    ground = range(2 * n + k)
+    subsets = list(combinations(ground, n))
+    index = {s: i for i, s in enumerate(subsets)}
+    masks = []
+    for s in subsets:  # its disjoint partners: the n-subsets of the rest
+        rest = [x for x in ground if x not in s]
+        masks.append(sum(1 << index[t] for t in combinations(rest, n)))
+    return Graph(len(subsets), tuple(masks))
 
 
 def xn_graph(k: int) -> Graph:

@@ -1,10 +1,12 @@
 """Exact reduced simplicial homology over the integers and over GF(2).
 
-Boundary matrices are built from the faces with the usual alternating sign
-convention, plus an augmentation row in degree zero so that Betti numbers
-come out reduced.  Integer ranks and torsion come from an exact Smith
-normal form in arbitrary-precision integers; :func:`smith_normal_form`
-describes its two phases, unit pivots and then the residue.
+Homology is computed on a complex's strong core (Barmak–Minian), which
+has the complex's homotopy type: :func:`boundary_matrices` enumerates the
+core's faces only.  Boundary columns carry the usual alternating signs,
+plus an augmentation row in degree zero so that Betti numbers come out
+reduced.  Integer ranks and torsion come from an exact Smith normal form in
+arbitrary-precision integers (:func:`_smith_reduce`: unit pivots, then the
+residue).
 
 Integer homology reduces the boundary maps from the top dimension down and
 clears as it goes: a k-face that was a unit pivot row of the map on
@@ -15,47 +17,25 @@ column lattice and every invariant factor stay the same, whether or not the
 map above left a residue.  GF(2) Betti numbers are no separate
 computation: by universal coefficients they follow from the integer Betti
 numbers and torsion (:attr:`HomologyResult.field2`).  Bitset elimination
-over GF(2) (:func:`betti_field2`) is no route of its own: it stays only as
-the tests' independent check.
+over GF(2) (:func:`betti_field2`) and the public :func:`smith_normal_form`
+are no route of their own: they stay only as the tests' independent checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from math import gcd
-from typing import Collection, NamedTuple, Optional, Union
+from typing import Collection, NamedTuple, Optional, Sequence, Union
 
 from .complexes import SimplicialComplex, neighborhood_complex
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
-    """Integer matrix stored by columns: cols[j] maps row index to entry."""
-
-    nrows: int
-    ncols: int
-    cols: tuple[dict, ...]
-
-    def entries(self):
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                yield i, j, v
-
-    def gf2_row_masks(self) -> list[int]:
-        masks = [0] * self.nrows
-        for i, j, v in self.entries():
-            if v & 1:
-                masks[i] ^= 1 << j
-        return masks
-
-
-def gf2_rank(row_masks: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmasks."""
+def gf2_rank(vectors: list[int]) -> int:
+    """Rank over GF(2) of vectors (rows or columns) given as bitmasks."""
     pivots: dict[int, int] = {}
     rank = 0
-    for row in row_masks:
-        cur = row
+    for vector in vectors:
+        cur = vector
         while cur:
             top = cur.bit_length() - 1
             piv = pivots.get(top)
@@ -67,8 +47,20 @@ def gf2_rank(row_masks: list[int]) -> int:
     return rank
 
 
-def smith_normal_form(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors of an integer matrix.
+def smith_normal_form(cols: Sequence[dict]) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors of an integer matrix given by its columns,
+    each a row -> entry mapping.  Zero entries are dropped, and the
+    caller's mappings are left as they were."""
+    rank, factors, _ = _smith_reduce(
+        [{r: v for r, v in col.items() if v} for col in cols])
+    return rank, factors
+
+
+def _smith_reduce(cols: list[dict]
+                  ) -> tuple[int, tuple[int, ...], list[int]]:
+    """Rank and invariant factors of the matrix whose columns are the
+    row -> nonzero entry dicts ``cols``, which it consumes; also returns
+    the unit phase's pivot rows.
 
     Two phases.  The unit phase walks the columns in index order and, in
     each live column holding a +-1 entry, pivots on the one whose row has
@@ -93,21 +85,11 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     all, and later swaps keep that.  The unit factors divide everything,
     so they lead the chain without entering that pass.
 
-    :func:`homology_integer` runs the same reduction and also keeps the
-    unit phase's pivot rows.  With the pivot columns they span a square
+    The unit phase's pivot rows, with the pivot columns, span a square
     block whose determinant is the product of the pivots, +-1, however
-    large the residue; that is what lets those rows be cleared from the
-    next boundary map down.
+    large the residue; that is what lets :func:`homology_integer` clear
+    those rows from the next boundary map down.
     """
-    rank, factors, _ = _smith_reduce(
-        [{r: v for r, v in col.items() if v} for col in m.cols])
-    return rank, factors
-
-
-def _smith_reduce(cols: list[dict]
-                  ) -> tuple[int, tuple[int, ...], list[int]]:
-    """:func:`smith_normal_form` on columns given as row -> nonzero entry
-    dicts, which it consumes; also returns the unit phase's pivot rows."""
     members: dict[int, set] = {}  # row -> columns with a nonzero there
     for c, col in enumerate(cols):
         for r in col:
@@ -185,14 +167,11 @@ def _smith_reduce(cols: list[dict]
 
 @dataclass(frozen=True)
 class ChainComplexData:
-    """Faces and boundary maps of a complex up to one past max_dim.
+    """Faces of a complex for dimensions 0..max_dim+1.
 
-    ``faces[k]`` lists the dimension-k faces as ascending vertex bitmasks
-    for k = 0..max_dim+1.  ``boundaries[k]`` maps k-chains to (k-1)-chains;
-    index 0 is the 1 x f_0 augmentation row of ones, so kernels and ranks
-    combine directly into reduced Betti numbers.  The boundary maps are
-    assembled on first use: :func:`homology_integer` builds only the
-    columns it reduces and never touches them.
+    ``faces[k]`` lists the dimension-k faces as ascending vertex bitmasks;
+    :func:`_boundary_columns` assembles the boundary maps from them.
+    ``complex_dim`` is the dimension of the complex the chains stand for.
     """
 
     max_dim: int
@@ -205,14 +184,6 @@ class ChainComplexData:
 
     def face_count(self, k: int) -> int:
         return len(self.faces[k]) if 0 <= k < len(self.faces) else 0
-
-    @cached_property
-    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
-        return tuple(
-            SparseIntMatrix(self.face_count(k - 1) if k else 1,
-                            self.face_count(k),
-                            tuple(_boundary_columns(self.faces, k)))
-            for k in range(self.max_dim + 2))
 
 
 def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
@@ -246,49 +217,22 @@ def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
 
 def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
                       face_cap: int = 500_000) -> ChainComplexData:
-    """Chain data of a complex for dimensions 0..max_dim.
+    """Chain data of ``c.strong_core()``, standing in for that of c.
 
+    The core has the homotopy type of c, so its homology is c's.
+    Dimensions 0..max_dim are covered (all of c's when max_dim is None),
+    those above the core's dimension with empty layers, and
+    ``complex_dim`` is c's own, so ``truncated`` means max_dim < dim c.
     Faces of dimensions 0..max_dim+1 come from
-    ``SimplicialComplex.faces_up_to``, and ``face_cap`` caps their total
-    over all those dimensions.  The boundary maps are assembled from them
-    when first read.
+    ``SimplicialComplex.faces_up_to`` on the core, and ``face_cap`` caps
+    their total over all those dimensions.
     """
-    dim = c.dimension
     if max_dim is None:
-        max_dim = max(dim, 0)
+        max_dim = max(c.dimension, 0)
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    return ChainComplexData(max_dim, dim,
-                            c.faces_up_to(max_dim + 1, cap=face_cap))
-
-
-def core_boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
-                           face_cap: int = 500_000) -> ChainComplexData:
-    """Boundary maps of ``c.strong_core()``, standing in for those of c.
-
-    The core has the homotopy type of c, so its homology is c's.  Dimensions
-    0..max_dim are covered (all of c's when max_dim is None), those above
-    the core's dimension with empty layers, and ``complex_dim`` is c's
-    own, so ``truncated`` means max_dim < dim c.  ``face_cap`` counts the
-    core's faces.
-    """
-    top = max(c.dimension, 0) if max_dim is None else max_dim
-    data = boundary_matrices(c.strong_core(), max_dim=top, face_cap=face_cap)
-    return replace(data, complex_dim=c.dimension)
-
-
-def boundary_composition_is_zero(d: ChainComplexData) -> bool:
-    """Check d(k-1) after d(k) vanishes for every k (chain complex law)."""
-    for k in range(1, d.max_dim + 2):
-        lower = d.boundaries[k - 1]
-        for col in d.boundaries[k].cols:
-            acc: dict = {}
-            for r, v in col.items():
-                for r2, v2 in lower.cols[r].items():
-                    acc[r2] = acc.get(r2, 0) + v * v2
-            if any(acc.values()):
-                return False
-    return True
+    return ChainComplexData(max_dim, c.dimension, c.strong_core().faces_up_to(
+        max_dim + 1, cap=face_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +287,14 @@ class HomologyResult:
 
 
 def betti_field2(d: ChainComplexData) -> tuple[int, ...]:
-    """Reduced Betti numbers over GF(2) for dimensions 0..max_dim."""
-    ranks = [gf2_rank(b.gf2_row_masks()) for b in d.boundaries]
+    """Reduced Betti numbers over GF(2) for dimensions 0..max_dim.
+
+    Each boundary column becomes one bitmask of its rows (every entry is
+    +-1, so odd); a map's rank over GF(2) is that of its columns.
+    """
+    ranks = [gf2_rank([sum(1 << r for r in col)
+                       for col in _boundary_columns(d.faces, k)])
+             for k in range(d.max_dim + 2)]
     return tuple(d.face_count(k) - ranks[k] - ranks[k + 1]
                  for k in range(d.max_dim + 1))
 
@@ -385,9 +335,12 @@ def homology_integer(d: ChainComplexData) -> HomologyResult:
 
 
 def euler_characteristic(c: SimplicialComplex, d: ChainComplexData) -> int:
-    """Alternating face-count sum.  Requires untruncated boundary data.
+    """Euler characteristic of c, as the alternating sum of the face counts
+    in its chain data.  Requires untruncated data.
 
-    For a nonempty complex this equals 1 plus the alternating sum of the
+    :func:`boundary_matrices` counts the faces of c's strong core; strong
+    collapses keep the homotopy type, so the sum is chi(c) all the same.
+    For a nonempty complex it equals 1 plus the alternating sum of the
     reduced Betti numbers; the empty complex gives 0 and is exempt.
     """
     if d.truncated:
@@ -422,5 +375,5 @@ def graph_homology(g, max_dim: Optional[int] = None,
     the route, which is always "direct" (the complex itself, not the
     closed-set retract).
     """
-    data = core_boundary_matrices(neighborhood_complex(g), max_dim, face_cap)
+    data = boundary_matrices(neighborhood_complex(g), max_dim, face_cap)
     return homology_integer(data), "direct"

@@ -23,8 +23,7 @@ import pytest
 
 from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_sweep,
                        biclique_count_bound, bound_comparison,
-                       boundary_matrices, closed_set_poset,
-                       comparisons_csv, complete_graph,
+                       closed_set_poset, comparisons_csv, complete_graph,
                        contains_complete_bipartite, find_sphere_certificates,
                        gnp_sample, graph_homology, homology_integer,
                        is_strictly_balanced, lovasz_retract, maximal_cliques,
@@ -34,6 +33,8 @@ from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_sweep,
                        obstructed_clique_extension, records_to_jsonl,
                        run_survey, subgraph_threshold_exponent,
                        witness_is_valid, xn_graph)
+
+from test_homology import own_faces
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +57,9 @@ def corpus_pipelines(corpus):
     start = time.monotonic()
     entries = []
     for g in corpus:
-        direct = homology_integer(boundary_matrices(neighborhood_complex(g)))
+        direct = homology_integer(own_faces(neighborhood_complex(g)))
         poset = closed_set_poset(g)
-        retract = homology_integer(boundary_matrices(
+        retract = homology_integer(own_faces(
             SimplicialComplex.from_faces(len(poset.elements),
                                          lovasz_retract(poset))))
         entries.append((g, poset, direct, retract))

@@ -152,6 +152,15 @@ def test_kneser_2_1_is_petersen():
         assert not g.neighbors(u) & g.neighbors(v)
 
 
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (2, 1), (2, 2), (3, 0),
+                                  (3, 2), (5, 2)])
+def test_kneser_matches_the_pairwise_definition(n, k):
+    subsets = [set(c) for c in itertools.combinations(range(2 * n + k), n)]
+    edges = [(i, j) for i, j in itertools.combinations(range(len(subsets)), 2)
+             if not subsets[i] & subsets[j]]
+    assert kneser_graph(n, k) == Graph.from_edges(len(subsets), edges)
+
+
 def test_kneser_refuses_by_count_before_listing_subsets():
     # C(21, 7) = 116,280 sets would take tens of MB as frozensets; the
     # count alone decides, so kneser(20, 20) with C(60, 20) ~ 4.2e15 sets

@@ -12,29 +12,48 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from nbcomplex import homology
-from nbcomplex import (AtLeast, Graph, ResourceCapError, SimplicialComplex,
-                       boundary_matrices, closed_set_poset,
-                       complete_bipartite_graph, complete_graph,
-                       core_boundary_matrices, cycle_graph,
-                       euler_characteristic, gnp_sample, graph_homology,
-                       homological_connectivity, homology_integer,
-                       lovasz_retract, neighborhood_complex,
-                       smith_normal_form)
+from nbcomplex import (AtLeast, ChainComplexData, Graph, ResourceCapError,
+                       SimplicialComplex, boundary_matrices,
+                       closed_set_poset, complete_bipartite_graph,
+                       complete_graph, cycle_graph, euler_characteristic,
+                       gnp_sample, graph_homology, homological_connectivity,
+                       homology_integer, lovasz_retract,
+                       neighborhood_complex, smith_normal_form)
 from nbcomplex.graphs import _bits
-from nbcomplex.homology import (SparseIntMatrix, betti_field2,
-                                boundary_composition_is_zero, gf2_rank)
+from nbcomplex.homology import _boundary_columns, betti_field2, gf2_rank
 
 from test_complexes import facet_lists
 from test_graphs import small_graphs
 
 
 def sparse(rows):
-    """Build a SparseIntMatrix from a dense row-of-rows literal."""
+    """Columns (row -> nonzero entry dicts) of a dense row-of-rows literal."""
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    cols = tuple({i: rows[i][j] for i in range(nr) if rows[i][j]}
-                 for j in range(nc))
-    return SparseIntMatrix(nr, nc, cols)
+    return [{i: rows[i][j] for i in range(nr) if rows[i][j]}
+            for j in range(nc)]
+
+
+def own_faces(c, max_dim=None):
+    """Chain data of c's own faces, not its core's: the absolute route the
+    core route is checked against."""
+    top = max(c.dimension, 0) if max_dim is None else max_dim
+    return ChainComplexData(top, c.dimension, c.faces_up_to(top + 1))
+
+
+def boundary_composition_is_zero(d):
+    """Whether d(k-1) after d(k) vanishes for every k (the chain complex
+    law), on the columns homology_integer reduces."""
+    for k in range(1, d.max_dim + 2):
+        lower = _boundary_columns(d.faces, k - 1)
+        for col in _boundary_columns(d.faces, k):
+            acc: dict = {}
+            for r, v in col.items():
+                for r2, v2 in lower[r].items():
+                    acc[r2] = acc.get(r2, 0) + v * v2
+            if any(acc.values()):
+                return False
+    return True
 
 
 # RP^2 on six vertices, the smallest triangulation
@@ -137,6 +156,22 @@ def test_snf_is_invariant_under_row_and_column_permutations(drawn, rnd):
         smith_normal_form(sparse(rows))
 
 
+def test_snf_takes_columns_with_zeros_and_empty_columns():
+    # explicit zeros are dropped, empty columns add nothing to the rank
+    assert smith_normal_form([{0: 0, 1: 2}, {}, {0: 4, 1: 0}]) == (2, (2, 4))
+    assert smith_normal_form([{0: 0}, {}]) == (0, ())
+    assert smith_normal_form([{}]) == (0, ())
+    assert smith_normal_form([]) == (0, ())
+    assert smith_normal_form(({3: 1, 5: 0},)) == (1, (1,))
+
+
+def test_snf_leaves_the_callers_columns_unchanged():
+    cols = [{0: 1, 1: 1}, {0: 1, 1: -1, 2: 0}, {2: 6}]
+    before = [dict(col) for col in cols]
+    assert smith_normal_form(cols) == (3, (1, 2, 6))
+    assert cols == before
+
+
 def test_snf_reaches_the_residue_phase():
     # either unit pivot of [[1, 1], [1, -1]] leaves the Schur complement
     # [-2], which has no unit entry, so the general reduction takes it
@@ -148,11 +183,12 @@ def test_snf_reaches_the_residue_phase():
 @pytest.mark.parametrize("n, facets", [(6, RP2_FACETS), (7, TORUS_FACETS)],
                          ids=["rp2", "torus"])
 def test_snf_matches_sympy_on_surface_boundaries(n, facets):
-    d = boundary_matrices(SimplicialComplex.from_faces(n, facets))
-    for b in d.boundaries:
-        rows = [[b.cols[j].get(i, 0) for j in range(b.ncols)]
-                for i in range(b.nrows)]
-        assert smith_normal_form(b) == sympy_invariants(rows, b.ncols)
+    d = own_faces(SimplicialComplex.from_faces(n, facets))
+    for k in range(d.max_dim + 2):
+        cols = _boundary_columns(d.faces, k)
+        rows = [[col.get(i, 0) for col in cols]
+                for i in range(d.face_count(k - 1) if k else 1)]
+        assert smith_normal_form(cols) == sympy_invariants(rows, len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +223,13 @@ def cleared_reductions(d):
 
 def assert_clearing_is_exact(d):
     result, reductions = cleared_reductions(d)
-    assert len(reductions) == len(d.boundaries)
+    assert len(reductions) == d.max_dim + 2
     for k, (ncols, rank, factors, units) in enumerate(reductions):
         # cleared: the unit pivot rows of the map above are not columns here
         above = reductions[k + 1][3] if k + 1 < len(reductions) else 0
         assert ncols == d.face_count(k) - above
-        assert (rank, factors) == smith_normal_form(d.boundaries[k])
+        assert (rank, factors) == \
+            smith_normal_form(_boundary_columns(d.faces, k))
     assert result.field2 == betti_field2(d)
     return reductions
 
@@ -200,20 +237,20 @@ def assert_clearing_is_exact(d):
 @settings(max_examples=100, deadline=None)
 @given(facet_lists)
 def test_cleared_reduction_matches_the_full_smith_normal_form(facets):
-    assert_clearing_is_exact(boundary_matrices(
+    assert_clearing_is_exact(own_faces(
         SimplicialComplex.from_faces(8, facets)))
 
 
 @pytest.mark.parametrize("n, facets", REFERENCE_COMPLEXES, ids=REFERENCE_IDS)
 def test_cleared_reduction_matches_on_surfaces_and_torsion(n, facets):
-    assert_clearing_is_exact(boundary_matrices(
+    assert_clearing_is_exact(own_faces(
         SimplicialComplex.from_faces(n, facets)))
 
 
 def test_clearing_holds_when_the_map_above_leaves_a_residue():
     # RP^2's top boundary map has a residue (its factor 2), yet the cleared
     # edge map still has every factor of the full one
-    d = boundary_matrices(SimplicialComplex.from_faces(6, RP2_FACETS))
+    d = own_faces(SimplicialComplex.from_faces(6, RP2_FACETS))
     reductions = assert_clearing_is_exact(d)
     _, rank, factors, units = reductions[2]
     assert units < rank and 2 in factors
@@ -232,14 +269,14 @@ def test_suspended_projective_plane_moves_the_torsion_up():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), p=st.floats(0.0, 1.0), seed=st.integers(0, 999))
 def test_field2_from_invariant_factors_matches_bitset_ranks(n, p, seed):
-    d = boundary_matrices(neighborhood_complex(gnp_sample(n, p, seed)))
+    d = own_faces(neighborhood_complex(gnp_sample(n, p, seed)))
     assert homology_integer(d).field2 == betti_field2(d)
 
 
 def test_clearing_skips_the_unit_pivot_rows_of_the_map_above():
     # N[K_6] is the boundary of the 5-simplex, f = (6, 15, 20, 15, 6): top
     # down, each map's unit pivots clear as many columns of the next
-    d = boundary_matrices(neighborhood_complex(complete_graph(6)))
+    d = own_faces(neighborhood_complex(complete_graph(6)))
     reductions = assert_clearing_is_exact(d)
     assert [ncols for ncols, _, _, _ in reductions] == [1, 5, 10, 10, 6, 0]
     assert [units for _, _, _, units in reductions] == [1, 5, 10, 10, 5, 0]
@@ -272,15 +309,18 @@ def test_gf2_rank_is_invariant_under_row_xor():
 
 def test_boundary_of_a_triangle():
     c = SimplicialComplex.from_faces(3, [(0, 1, 2)])
-    d = boundary_matrices(c)
+    d = own_faces(c)
     assert d.max_dim == 2 and not d.truncated
     assert d.faces[1] == (0b011, 0b101, 0b110)
     # augmentation row: ones
-    assert d.boundaries[0].nrows == 1
-    assert all(v == 1 for _, _, v in d.boundaries[0].entries())
+    assert _boundary_columns(d.faces, 0) == [{0: 1}] * 3
     # edge (0,1) has boundary [1] - [0]
-    col = d.boundaries[1].cols[0]
+    col = _boundary_columns(d.faces, 1)[0]
     assert col == {0: -1, 1: 1}
+    # the builder stands the triangle's core, one vertex, in for it
+    core = boundary_matrices(c)
+    assert core.max_dim == 2 and core.complex_dim == 2
+    assert len(core.faces[0]) == 1 and core.faces[1:] == ((), (), ())
 
 
 def test_boundary_matrices_on_empty_complex():
@@ -316,8 +356,9 @@ def test_mask_faces_and_columns_match_the_tuple_reference(facets, skip):
 @settings(max_examples=30)
 @given(small_graphs(6))
 def test_boundary_composition_vanishes(g):
-    d = boundary_matrices(neighborhood_complex(g))
-    assert boundary_composition_is_zero(d)
+    assert boundary_composition_is_zero(own_faces(neighborhood_complex(g)))
+    assert boundary_composition_is_zero(
+        boundary_matrices(neighborhood_complex(g)))
 
 
 def test_boundary_face_cap():
@@ -389,6 +430,8 @@ def test_euler_characteristic_matches_betti_sum():
     r = homology_integer(d)
     chi = euler_characteristic(c, d)
     assert chi == 1 + sum((-1) ** k * b for k, b in enumerate(r.betti))
+    # the core's face counts give the complex's own chi
+    assert chi == euler_characteristic(c, own_faces(c))
 
 
 def test_euler_characteristic_rejects_truncated_data():
@@ -455,10 +498,9 @@ def test_retract_route_agrees_with_direct_on_samples():
         g = gnp_sample(8, 0.45, 2200 + seed)
         got, source = graph_homology(g)
         assert source == "direct"
-        direct = homology_integer(
-            boundary_matrices(neighborhood_complex(g)))
+        direct = homology_integer(own_faces(neighborhood_complex(g)))
         p = closed_set_poset(g)
-        retract = homology_integer(boundary_matrices(
+        retract = homology_integer(own_faces(
             SimplicialComplex.from_faces(len(p.elements), lovasz_retract(p))))
         width = max(len(got.betti), len(retract.betti))
         assert padded(got, width) == padded(direct, width)
@@ -483,7 +525,7 @@ def test_result_does_not_depend_on_the_route(n, p, seed, max_dim):
     g = gnp_sample(n, p, seed)
     routed, _ = graph_homology(g, max_dim=max_dim)
     nc = neighborhood_complex(g)
-    direct = homology_integer(boundary_matrices(nc, max_dim=max_dim))
+    direct = homology_integer(own_faces(nc, max_dim=max_dim))
     assert routed == direct
     dim = nc.dimension
     assert routed.truncated == (max_dim is not None and max_dim < dim)
@@ -519,12 +561,12 @@ def test_face_cap_counts_the_core_faces():
     with pytest.raises(ResourceCapError):
         graph_homology(g, face_cap=1)
     with pytest.raises(ResourceCapError):
-        boundary_matrices(neighborhood_complex(g), face_cap=21)
+        neighborhood_complex(g).faces_up_to(3, cap=21)
 
 
 def assert_core_keeps_homology(c):
-    full = homology_integer(boundary_matrices(c))
-    core = homology_integer(boundary_matrices(c.strong_core()))
+    full = homology_integer(own_faces(c))
+    core = homology_integer(own_faces(c.strong_core()))
     width = max(len(full.betti), len(core.betti))
     assert padded(full, width) == padded(core, width)
     assert full.empty == core.empty
@@ -550,23 +592,23 @@ def test_surfaces_have_no_dominated_vertex_and_keep_torsion(facets, n,
                                                              torsion):
     c = SimplicialComplex.from_faces(n, facets)
     assert c.strong_core() == c
-    r = homology_integer(core_boundary_matrices(c))
+    r = homology_integer(boundary_matrices(c))
     assert r.torsion == torsion
     assert r.field2 == ((0, 1, 1) if torsion[1] else (0, 2, 1))
 
 
-def test_core_boundary_matrices_keep_the_input_width_and_flags():
+def test_boundary_matrices_keep_the_input_width_and_flags():
     # a cone over RP^2 is contractible: its core is a point, its torsion gone
     cone = SimplicialComplex.from_faces(7, [f + (6,) for f in RP2_FACETS])
-    d = core_boundary_matrices(cone, max_dim=1)
+    d = boundary_matrices(cone, max_dim=1)
     assert d.truncated and d.complex_dim == 3
     assert d.faces[0] == (1 << 6,)
     r = homology_integer(d)
     assert r.betti == (0, 0) and r.torsion == ((), ())
-    full = homology_integer(core_boundary_matrices(cone))
+    full = homology_integer(boundary_matrices(cone))
     assert full.betti == (0, 0, 0, 0) and full.field2 == (0, 0, 0, 0)
     assert not full.truncated
-    empty = homology_integer(core_boundary_matrices(
+    empty = homology_integer(boundary_matrices(
         SimplicialComplex.from_faces(3, [])))
     assert empty.empty and empty.betti == (0,)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,3 +42,16 @@ def test_package_imports_only_the_standard_library():
     outside = {name for name in loaded - {"nbcomplex"}
                if name not in sys.stdlib_module_names}
     assert not outside, f"non-stdlib imports: {sorted(outside)}"
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # bench/tracing.py looks its targets up by name on the package's
+    # modules; a renamed or deleted one should fail here, not in a run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, name, _ in tracing.TARGETS:
+        target = importlib.import_module(f"nbcomplex.{module}")
+        assert callable(getattr(target, name, None)), f"{module}.{name}"
