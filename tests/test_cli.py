@@ -524,6 +524,75 @@ def test_bounds_threshold(capsys):
     assert code == 1
 
 
+# Per `bounds` mode: valid flags, a missing required flag (or graph source),
+# a domain error or a flag of the wrong type, and --help.  The digests are
+# sha256 of each call's exit code, stdout and stderr, in order.
+BOUNDS_CALLS = {
+    "neighborly": [("--n", "100", "--level", "3", "--p", "0.5"),
+                   ("--n", "100", "--level", "3"),
+                   ("--n", "5", "--level", "9", "--p", "0.5"),
+                   ("--n", "100", "--level", "3", "--p", "x"),
+                   ("--help",)],
+    "biclique": [("--n", "50", "--j", "2", "--k", "3", "--p", "0.3"),
+                 ("--n", "50", "--j", "2", "--p", "0.3"),
+                 ("--n", "5", "--j", "2", "--k", "9", "--p", "0.3"),
+                 ("--help",)],
+    "extension": [("--n", "100", "--p", "0.5", "--k", "4"),
+                  ("--p", "0.5", "--k", "4"),
+                  ("--n", "100", "--p", "1.5", "--k", "4"),
+                  ("--help",)],
+    "vanishing-dimension": [("--n", "1024"), ("--n", "1024", "--eps", "0.2"),
+                            (), ("--n", "1"), ("--help",)],
+    "vanishing-exponent": [("--level", "4"), (), ("--level", "-1"),
+                           ("--help",)],
+    "nonvanishing-dimension": [("--n", "1024", "--eps", "0.1"), (),
+                               ("--n", "1024", "--eps", "0.5"), ("--help",)],
+    "nonvanishing-exponent": [("--k", "3"), (), ("--k", "2.5"), ("--help",)],
+    "threshold": [("--family", "xn:3"), (), ("--gnp", "6", "0.0", "1"),
+                  ("--help",)],
+}
+BOUNDS_GOLDEN = {
+    None: "b08de87011e519d0bb8222c0e96a3bd8427781d52b099d8ec663278271baf683",
+    "neighborly":
+        "52259516786e63c687fc4041557e3257158793c0ab4241d702cf65cecc373cc8",
+    "biclique":
+        "4aa0650cec54d18a6017ace5f46907c37d9bfe90c5900b82a402f2a496977449",
+    "extension":
+        "14fc94d809d1a275d524094cfa6e1dfa9350fc0ca175671e05715eb3dd62acf5",
+    "vanishing-dimension":
+        "8a1f45ca478355c165f757e0c323242dd1e94294d270053478f91ab27fdf10c0",
+    "vanishing-exponent":
+        "2033f07cab0f98363dcb2dc65465047c43f8b6afd5e480c399563edc3db7920d",
+    "nonvanishing-dimension":
+        "8ef13c22c51df63772763a44088d4aa6d3b2ffcb7fa67d9d1c5a5354c6889655",
+    "nonvanishing-exponent":
+        "d80fd712a603be68d3f6b75e10505036702de624bd8185e8c7b986fb9fdfb72f",
+    "threshold":
+        "1bceac7eaa216a29c0ccdc3819d672bc21f73b9cbf87e2621834d6aecbbc63c9",
+}
+
+
+def cli_outcome(capsys, argv):
+    """Exit code, stdout and stderr of one call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return f"{code}\n{out.out}{out.err}"
+
+
+@pytest.mark.parametrize("mode", [None, *BOUNDS_CALLS])
+def test_bounds_bytes_match_their_golden_digests(monkeypatch, capsys, mode):
+    monkeypatch.setenv("COLUMNS", "80")
+    if mode is None:
+        calls = [("bounds",), ("bounds", "--help"), ("bounds", "no-such-mode")]
+    else:
+        calls = [("bounds", mode, *flags) for flags in BOUNDS_CALLS[mode]]
+    text = "".join(cli_outcome(capsys, argv) for argv in calls)
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDS_GOLDEN[mode]
+
+
 # ---------------------------------------------------------------------------
 # survey and sweep
 
