@@ -46,7 +46,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import neighborliness
-from .errors import ResourceCapError
+from .errors import ResourceCapError, capped
 from .graphs import (Graph, SubgraphWitness, _bits, _require_clique_size,
                      maximum_clique, witness_is_valid)
 from .homology import AtLeast, Connectivity, graph_homology, \
@@ -432,35 +432,21 @@ def bound_comparison(g: Graph, coloring_cap: int = 20) -> BoundComparison:
     """
     if g.n < 1:
         raise ValueError("comparison needs at least one vertex")
-    try:
-        clique = maximum_clique(g)
-    except ResourceCapError:
-        clique = None
+    failures: list = []
+    clique = capped(failures, "clique_number", lambda: maximum_clique(g))
     chi = omega = None
     if clique is not None:
         omega = len(clique)
         if g.n <= coloring_cap:
             chi = _chromatic_from_clique(g.masks, clique)
-    missing = [name for name, value in (("chromatic_number", chi),
-                                        ("clique_number", omega))
-               if value is None]
-
-    def attempt(name, fn):
-        try:
-            return fn()
-        except ResourceCapError:
-            missing.append(name)
-            return None
-
-    nbound = attempt("neighborliness_bound",
-                     lambda: neighborliness_chromatic_bound(g))
-    conn = attempt("hom_connectivity",
-                   lambda: homological_connectivity(graph_homology(g)[0]))
-    certs = attempt("best_certificate_dim",
-                    lambda: find_sphere_certificates(g))
-    best_dim = None
-    if certs is not None:
-        best_dim = max((c.sphere_dim for c in certs), default=None)
+    nbound = capped(failures, "neighborliness_bound",
+                    lambda: neighborliness_chromatic_bound(g))
+    conn = capped(failures, "hom_connectivity",
+                  lambda: homological_connectivity(graph_homology(g)[0]))
+    best_dim = capped(failures, "best_certificate_dim", lambda: max(
+        (c.sphere_dim for c in find_sphere_certificates(g)), default=None))
+    missing = ["chromatic_number"] if chi is None else []
+    missing.extend(name for name, _ in failures)
 
     if chi is not None and chi < omega:
         raise RuntimeError(f"coloring bug: chi={chi} below clique number {omega}")

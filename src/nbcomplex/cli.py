@@ -3,6 +3,8 @@
 Exit codes are part of the contract: 0 success, 1 bad input or usage
 (including parse and format errors), 2 a work cap was hit, 3 file-system
 trouble.  All subcommand output is deterministic for fixed inputs.
+The `bounds` modes that take no graph are rows of one table, which
+builds both their subparsers and their records.
 """
 
 from __future__ import annotations
@@ -162,47 +164,60 @@ def _cmd_chromatic(args) -> int:
     return 0
 
 
+# One row per `bounds` mode that takes no graph: help text, function,
+# record kind (None when the function returns a WindowReport) and flags as
+# (name, type, default) in the function's argument order; a flag without a
+# default is required.  A record is {"kind", <flags in order>, "value"}.
+_BOUNDS_MODES = {
+    "neighborly": ("expected count of level-i neighborliness failures",
+                   asymptotics.neighborliness_failure_bound,
+                   "neighborliness_failure_bound",
+                   (("n", int, None), ("level", int, None),
+                    ("p", float, None))),
+    "biclique": ("expected count of complete bipartite pairs",
+                 asymptotics.biclique_count_bound, "biclique_count_bound",
+                 (("n", int, None), ("j", int, None), ("k", int, None),
+                  ("p", float, None))),
+    "extension": ("expected count of blocked clique extensions",
+                  asymptotics.clique_extension_bound, "clique_extension_bound",
+                  (("n", int, None), ("p", float, None), ("k", int, None))),
+    "vanishing-dimension": ("dimension window where homology vanishes a.a.s.",
+                            asymptotics.vanishing_dimension_window, None,
+                            (("n", int, None), ("eps", float, 0.0))),
+    "vanishing-exponent": ("density exponents forcing vanishing at a fixed "
+                           "level", asymptotics.vanishing_exponent_bounds,
+                           None, (("level", int, None),)),
+    "nonvanishing-dimension": ("dimension window with nonvanishing homology "
+                               "a.a.s.",
+                               asymptotics.nonvanishing_dimension_window,
+                               None, (("n", int, None), ("eps", float, 0.0))),
+    "nonvanishing-exponent": ("density exponents giving nonvanishing at a "
+                              "fixed level",
+                              asymptotics.nonvanishing_exponent_window, None,
+                              (("k", int, None),)),
+}
+
+
 def _cmd_bounds(args) -> int:
-    mode = args.mode
-    if mode == "neighborly":
-        out = {"kind": "neighborliness_failure_bound", "n": args.n,
-               "level": args.level, "p": args.p,
-               "value": asymptotics.neighborliness_failure_bound(
-                   args.n, args.level, args.p)}
-    elif mode == "biclique":
-        out = {"kind": "biclique_count_bound", "n": args.n, "j": args.j,
-               "k": args.k, "p": args.p,
-               "value": asymptotics.biclique_count_bound(
-                   args.n, args.j, args.k, args.p)}
-    elif mode == "extension":
-        out = {"kind": "clique_extension_bound", "n": args.n, "p": args.p,
-               "k": args.k,
-               "value": asymptotics.clique_extension_bound(
-                   args.n, args.p, args.k)}
-    elif mode == "vanishing-dimension":
-        out = asymptotics.vanishing_dimension_window(
-            args.n, args.eps).to_json_dict()
-    elif mode == "vanishing-exponent":
-        out = asymptotics.vanishing_exponent_bounds(args.level).to_json_dict()
-    elif mode == "nonvanishing-dimension":
-        out = asymptotics.nonvanishing_dimension_window(
-            args.n, args.eps).to_json_dict()
-    elif mode == "nonvanishing-exponent":
-        out = asymptotics.nonvanishing_exponent_window(args.k).to_json_dict()
-    else:
+    if args.mode == "threshold":
         g = _load_graph(args)
         out = {"kind": "subgraph_threshold_exponent",
                "density": str(density(g)),
                "exponent": str(asymptotics.subgraph_threshold_exponent(g))}
+    else:
+        _, fn, kind, flags = _BOUNDS_MODES[args.mode]
+        values = {name: getattr(args, name) for name, _, _ in flags}
+        if kind is None:
+            out = fn(*values.values()).to_json_dict()
+        else:
+            out = {"kind": kind, **values, "value": fn(*values.values())}
     _emit_json(out, args.output)
     return 0
 
 
 def _survey_config(args) -> ExperimentConfig:
-    if args.features:
-        feats = {tok.strip() for tok in args.features.split(",") if tok.strip()}
-    else:
-        feats = {"homology"}
+    listed = "homology" if args.features is None else args.features
+    feats = {tok.strip() for tok in listed.split(",") if tok.strip()}
     unknown = feats - set(_FEATURES)
     if unknown:
         raise ValueError(f"unknown features {sorted(unknown)}; "
@@ -297,50 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def bounds_mode(name, help_text):
         bp = bsub.add_parser(name, help=help_text)
-        bp.set_defaults(func=_cmd_bounds)
         bp.add_argument("-o", "--output", metavar="PATH")
         return bp
 
-    bp = bounds_mode("neighborly",
-                     "expected count of level-i neighborliness failures")
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--level", type=int, required=True)
-    bp.add_argument("--p", type=float, required=True)
-
-    bp = bounds_mode("biclique", "expected count of complete bipartite pairs")
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--j", type=int, required=True)
-    bp.add_argument("--k", type=int, required=True)
-    bp.add_argument("--p", type=float, required=True)
-
-    bp = bounds_mode("extension",
-                     "expected count of blocked clique extensions")
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--p", type=float, required=True)
-    bp.add_argument("--k", type=int, required=True)
-
-    bp = bounds_mode("vanishing-dimension",
-                     "dimension window where homology vanishes a.a.s.")
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--eps", type=float, default=0.0)
-
-    bp = bounds_mode("vanishing-exponent",
-                     "density exponents forcing vanishing at a fixed level")
-    bp.add_argument("--level", type=int, required=True)
-
-    bp = bounds_mode("nonvanishing-dimension",
-                     "dimension window with nonvanishing homology a.a.s.")
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--eps", type=float, default=0.0)
-
-    bp = bounds_mode("nonvanishing-exponent",
-                     "density exponents giving nonvanishing at a fixed level")
-    bp.add_argument("--k", type=int, required=True)
-
-    bp = bounds_mode("threshold",
-                     "appearance-threshold exponent of a strictly "
-                     "balanced graph")
-    _add_graph_source(bp)
+    for mode, (help_text, _, _, flags) in _BOUNDS_MODES.items():
+        bp = bounds_mode(mode, help_text)
+        for name, cast, default in flags:
+            bp.add_argument(f"--{name}", type=cast, default=default,
+                            required=default is None)
+    _add_graph_source(bounds_mode(
+        "threshold", "appearance-threshold exponent of a strictly balanced "
+                     "graph"))
 
     p = command("survey", _cmd_survey,
                 "seeded random-graph survey over a probability grid")

@@ -3,9 +3,15 @@
 Plain ``ValueError`` is used for ordinary argument and domain errors; the
 classes here exist so callers (and the command line front end) can tell
 apart parse failures, schema mismatches, and work-cap exhaustion.
+:func:`capped` runs one step of a record whose fields may each be cut
+short by a work cap.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -41,3 +47,14 @@ class ResourceCapError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.partial_count = partial_count
+
+
+def capped(failures: list[tuple[str, ResourceCapError]], name: str,
+           compute: Callable[[], T]) -> Optional[T]:
+    """``compute()``, or None after appending ``(name, error)`` to
+    ``failures`` when a work cap stops it."""
+    try:
+        return compute()
+    except ResourceCapError as err:
+        failures.append((name, err))
+        return None

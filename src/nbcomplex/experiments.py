@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from .certificates import find_sphere_certificates
 from .complexes import (closed_set_stats, neighborhood_complex_components,
                         neighborliness)
-from .errors import FormatError, ResourceCapError
+from .errors import FormatError, capped
 from .graphs import derive_trial_seed, gnp_sample, maximum_clique
 from .homology import graph_homology
 
@@ -149,58 +149,39 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
     seed = derive_trial_seed(cfg.master_seed, p_index, trial_index)
     g = gnp_sample(cfg.n, p, seed)
     caps = cfg.caps
-    errors: list[str] = []
+    failures: list = []
 
     # N[G] itself is built only by graph_homology
     connected = neighborhood_complex_components(g) <= 1
     empty = g.edge_count == 0
 
-    omega: Optional[int] = None
+    omega = nbl = closed = hom = certs = None
     if cfg.clique_stats:
-        try:
-            omega = len(maximum_clique(g, vertex_cap=caps.clique_vertices))
-        except ResourceCapError as err:
-            errors.append(f"clique_number: {err}")
-
-    nbl: Optional[int] = None
+        omega = capped(failures, "clique_number", lambda: len(
+            maximum_clique(g, vertex_cap=caps.clique_vertices)))
     if cfg.neighborliness:
-        try:
-            nbl = neighborliness(g, work_cap=caps.neighborliness_steps)
-        except ResourceCapError as err:
-            errors.append(f"neighborliness: {err}")
-
-    closed_count: Optional[int] = None
-    retract_dim: Optional[int] = None
+        nbl = capped(failures, "neighborliness", lambda: neighborliness(
+            g, work_cap=caps.neighborliness_steps))
     if cfg.homology:
-        try:
-            closed_count, retract_dim = closed_set_stats(
-                g, element_cap=caps.poset_elements)
-        except ResourceCapError as err:
-            # records have always named the poset here; keep the prefix
-            errors.append(f"closed_set_poset: {err}")
-
-    betti: Optional[tuple[int, ...]] = None
-    torsion_seen: Optional[bool] = None
-    source: Optional[str] = None
-    if cfg.homology:
-        try:
-            result, source = graph_homology(g, max_dim=cfg.max_dim,
-                                            face_cap=caps.faces_per_dim)
-            betti = result.betti
-            torsion_seen = any(t for t in result.torsion)
-            if torsion_seen:
-                log.warning("torsion at n=%d p=%.4g trial=%d: %s",
-                            cfg.n, p, trial_index, result.torsion)
-        except ResourceCapError as err:
-            errors.append(f"homology: {err}")
-
-    certs: Optional[tuple[int, ...]] = None
+        # records have always named the poset here; keep the prefix
+        closed = capped(failures, "closed_set_poset", lambda: closed_set_stats(
+            g, element_cap=caps.poset_elements))
+        hom = capped(failures, "homology", lambda: graph_homology(
+            g, max_dim=cfg.max_dim, face_cap=caps.faces_per_dim))
     if cfg.certificates:
-        try:
-            certs = tuple(c.sphere_dim for c in find_sphere_certificates(
-                g, vertex_cap=caps.clique_vertices))
-        except ResourceCapError as err:
-            errors.append(f"certificates: {err}")
+        certs = capped(failures, "certificates", lambda: tuple(
+            c.sphere_dim for c in find_sphere_certificates(
+                g, vertex_cap=caps.clique_vertices)))
+
+    closed_count, retract_dim = (None, None) if closed is None else closed
+    betti = torsion_seen = source = None
+    if hom is not None:
+        result, source = hom
+        betti = result.betti
+        torsion_seen = any(t for t in result.torsion)
+        if torsion_seen:
+            log.warning("torsion at n=%d p=%.4g trial=%d: %s",
+                        cfg.n, p, trial_index, result.torsion)
 
     return TrialRecord(
         trial_index=trial_index, p_index=p_index, p=p, seed=seed,
@@ -208,7 +189,8 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
         empty_complex=empty, clique_number=omega, neighborliness=nbl,
         closed_set_count=closed_count, retract_dimension=retract_dim,
         homology_source=source, betti=betti, torsion_seen=torsion_seen,
-        certificates=certs, errors=tuple(errors),
+        certificates=certs,
+        errors=tuple(f"{name}: {err}" for name, err in failures),
         wall_time_ms=(time.perf_counter() - started) * 1000.0)
 
 

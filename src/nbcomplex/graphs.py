@@ -51,11 +51,6 @@ class Graph:
             masks[v] |= 1 << u
         return cls(n, tuple(masks))
 
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """The neighbor sets as frozensets, built on each call."""
-        return tuple(frozenset(_bits(m)) for m in self.masks)
-
     def neighbors(self, v: int) -> frozenset[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")

@@ -248,11 +248,11 @@ def test_homology_bytes_match_their_golden_digests(tmp_path, capsys, name):
 
 def test_survey_trials_and_homology_never_build_frozenset_adjacency(
         monkeypatch, capsys):
-    # the runtime paths read Graph.masks; Graph.adj is for callers only
-    def refuse(self):
-        raise AssertionError("Graph.adj read on a runtime path")
+    # the runtime paths read Graph.masks; Graph.neighbors is for callers
+    def refuse(self, v):
+        raise AssertionError("Graph.neighbors called on a runtime path")
 
-    monkeypatch.setattr(Graph, "adj", property(refuse))
+    monkeypatch.setattr(Graph, "neighbors", refuse)
     cfg = ExperimentConfig(n=9, p_grid=(0.5,), trials=1, master_seed=3,
                            neighborliness=True, certificates=True,
                            clique_stats=True)
@@ -396,10 +396,10 @@ def test_chromatic_bytes_of_backtracking_graphs_match_their_golden_digest(
 def test_chromatic_layer_never_builds_frozenset_adjacency(monkeypatch,
                                                           capsys):
     # color classes are vertex bitmasks over Graph.masks
-    def refuse(self):
-        raise AssertionError("Graph.adj read on a runtime path")
+    def refuse(self, v):
+        raise AssertionError("Graph.neighbors called on a runtime path")
 
-    monkeypatch.setattr(Graph, "adj", property(refuse))
+    monkeypatch.setattr(Graph, "neighbors", refuse)
     assert chromatic_number_exact(mycielski(cycle_graph(5))) == 4
     assert chromatic_number_exact(kneser_graph(2, 1)) == 3
     assert [chromatic_number_exact(gnp_sample(n, p, seed))
@@ -649,6 +649,33 @@ def test_survey_feature_selection(capsys):
     assert rec["neighborliness"] is None
 
 
+@pytest.mark.parametrize("features", ["", ",", " , "])
+def test_survey_empty_feature_list_turns_every_feature_off(capsys, features):
+    # a given list is taken as given, even when it names nothing
+    code, out, err = run_cli(capsys, "survey", "--n", "6", "--p", "0.5",
+                             "--trials", "2", "--seed", "2",
+                             "--features", features)
+    assert code == 0 and err == ""
+    cfg = ExperimentConfig(n=6, p_grid=(0.5,), trials=2, master_seed=2,
+                           homology=False)
+    records = records_from_jsonl(out)
+    assert records == run_survey(cfg)
+    assert all(r.betti is None and r.homology_source is None
+               and r.clique_number is None for r in records)
+
+
+@pytest.mark.parametrize("command", ["survey", "sweep"])
+@pytest.mark.parametrize("grid, message", [
+    ("x", "bad probability list 'x'"),
+    ("0.5,x", "bad probability list '0.5,x'"),
+    (",", "empty probability list"),
+])
+def test_bad_probability_lists_exit_one(capsys, command, grid, message):
+    code, out, err = run_cli(capsys, command, "--n", "6", "--p", grid,
+                             "--trials", "1", "--seed", "2")
+    assert (code, out, err) == (1, "", f"nbcomplex: {message}\n")
+
+
 def test_survey_unknown_feature(capsys):
     code, _, err = run_cli(capsys, "survey", "--n", "6", "--p", "0.5",
                            "--trials", "1", "--seed", "2",
@@ -684,6 +711,19 @@ def test_sweep_summary_to_stdout(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+def test_input_file_is_read_as_an_edge_list(tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text("# a pentagon\nn 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    for command in ("gen", "homology"):
+        code, out, err = run_cli(capsys, command, "-i", str(path))
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, command, "--family", "cycle:5")[1]
+    path.write_text("n 5\n0 1\n1 7\n")
+    code, out, err = run_cli(capsys, "homology", "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err == "nbcomplex: line 3: edge (1, 7) out of range for n=5\n"
 
 
 def test_missing_input_file_exits_three(capsys):

@@ -123,6 +123,20 @@ def test_facet_text_round_trip_and_errors():
         parse_facet_list("dim 3\n0 1 2\n")  # header disagrees with facets
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("dim two\n0 1 2\n", 1, "bad dimension 'two'"),
+    ("dim 1\n0 1\n\n-1 2\n", 4, "negative vertex label"),
+    ("", None, "missing 'dim <d>' header"),
+    ("# no facets\n", None, "missing 'dim <d>' header"),
+])
+def test_parse_facet_list_names_the_error_and_its_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_facet_list(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # the common-neighbor operator
 
@@ -277,7 +291,7 @@ def level_scan(g, work_cap=None):
     """The level-by-level scan that ``neighborliness`` replaced, kept as its
     oracle: i-subsets in lexicographic order, one step each, until one has
     no common neighbor.  Returns (value, steps taken)."""
-    adj = g.adj
+    adj = [g.neighbors(v) for v in range(g.n)]
     steps = 0
     for i in range(1, g.n + 1):
         for s in itertools.combinations(range(g.n), i):
@@ -440,7 +454,7 @@ def poset_stats(g, **caps):
 def reference_poset(g, element_cap=20_000):
     """The closed-set poset by frozensets: pairwise intersections until
     nothing new appears, then a Hasse scan over all strict inclusions."""
-    family = {g.adj[v] for v in range(g.n) if g.adj[v]}
+    family = {g.neighbors(v) for v in range(g.n) if g.masks[v]}
     items = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
     i = 0
     while i < len(items):

@@ -123,6 +123,37 @@ def test_run_trial_records_cap_hits_as_errors():
     assert r.closed_set_count is None
 
 
+def test_every_capped_step_of_a_trial_records_its_error_in_order():
+    caps = Caps(clique_vertices=6, neighborliness_steps=3, poset_elements=2,
+                faces_per_dim=2)
+    cfg = tiny_config(p_grid=(0.9,), clique_stats=True, certificates=True,
+                      neighborliness=True, caps=caps)
+    r = run_trial(cfg, 0, 0)
+    clique = ("maximal clique enumeration capped at 6 vertices (got 7); "
+              "raise vertex_cap to override")
+    assert r.errors == (
+        f"clique_number: {clique}",
+        "neighborliness: neighborliness exceeded work cap 3 at level 1",
+        "closed_set_poset: closed-set family exceeded element cap 2",
+        "homology: face enumeration exceeded cap 2 in dimension 0",
+        f"certificates: {clique}")
+    assert (r.clique_number, r.neighborliness, r.closed_set_count,
+            r.retract_dimension, r.homology_source, r.betti, r.torsion_seen,
+            r.certificates) == (None,) * 8
+
+
+def test_a_neighborliness_cap_leaves_the_other_fields():
+    cfg = tiny_config(p_grid=(0.9,), neighborliness=True, clique_stats=True,
+                      caps=Caps(neighborliness_steps=3))
+    r = run_trial(cfg, 0, 0)
+    assert r.errors == (
+        "neighborliness: neighborliness exceeded work cap 3 at level 1",)
+    assert r.neighborliness is None
+    cliques = graphs.maximal_cliques(gnp_sample(7, 0.9, r.seed))
+    assert r.clique_number == max(map(len, cliques))
+    assert r.betti is not None
+
+
 def test_trials_do_not_build_the_hasse_diagram(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a survey trial built the closed-set poset")
@@ -323,6 +354,17 @@ def test_aggregate_rejects_mismatched_records():
         aggregate(records[:-1], cfg)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"p_grid": (0.2, 0.7)}, "record/config mismatch at p index 1"),
+    ({"max_dim": 2}, "betti width mismatch at p index 0"),
+])
+def test_aggregate_names_the_grid_point_that_mismatches(overrides, message):
+    records = run_survey(tiny_config())
+    with pytest.raises(ValueError) as err:
+        aggregate(records, tiny_config(**overrides))
+    assert str(err.value) == message
+
+
 def test_aggregate_summary_json_round_trips_through_dumps():
     cfg = tiny_config()
     summary = aggregate(run_survey(cfg), cfg)
@@ -383,6 +425,19 @@ def test_jsonl_rejects_unknown_or_missing_keys():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("\n{\n", 2, "bad JSON: Expecting property name enclosed in double "
+                 "quotes: line 1 column 2 (char 1)"),
+    ("[1, 2]\n", 1, "record line is not an object"),
+    ("\n\n7\n", 3, "record line is not an object"),
+])
+def test_jsonl_reports_lines_that_are_not_records(text, line, message):
+    with pytest.raises(FormatError) as err:
+        records_from_jsonl(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_jsonl_wall_time_never_serialized():
     records = run_survey(tiny_config(trials=1, p_grid=(0.5,)))
     assert "wall_time" not in records_to_jsonl(records)
@@ -418,6 +473,22 @@ def test_csv_reports_bad_cells_with_line_numbers():
     assert "line 2" in str(err.value)
     with pytest.raises(FormatError):
         records_from_csv("not,a,real,header\n")
+
+
+def test_csv_refuses_an_empty_text_and_short_or_long_rows():
+    with pytest.raises(FormatError) as err:
+        records_from_csv("")
+    assert str(err.value) == "empty CSV" and err.value.line is None
+    text = records_to_csv(run_survey(tiny_config(trials=2, p_grid=(0.5,))))
+    header, first, second = text.strip().split("\n")
+    width = len(header.split(","))
+    for row, cells in ((second.rsplit(",", 1)[0], width - 1),
+                       (second + ",", width + 1)):
+        with pytest.raises(FormatError) as err:
+            records_from_csv("\n".join((header, first, row)) + "\n")
+        assert err.value.line == 3
+        assert str(err.value) == \
+            f"line 3: expected {width} cells, got {cells}"
 
 
 # the clique cap's message contains ';', the CSV list separator
@@ -585,6 +656,17 @@ def test_write_and_read_files(tmp_path):
     assert read_records(jpath) == records
     assert read_records(cpath) == records  # format inferred from suffix
     assert read_records(cpath, fmt="csv") == records
+
+
+def test_unknown_record_formats_are_refused(tmp_path):
+    path = str(tmp_path / "out.jsonl")
+    with pytest.raises(FormatError) as err:
+        write_records(run_survey(tiny_config(trials=1)), path, fmt="xml")
+    assert str(err.value) == "unknown format 'xml'; use jsonl or csv"
+    assert err.value.line is None and not (tmp_path / "out.jsonl").exists()
+    with pytest.raises(FormatError) as err:
+        read_records(path, fmt="tsv")
+    assert str(err.value) == "unknown format 'tsv'; use jsonl or csv"
 
 
 def test_write_summary_as_indented_json(tmp_path):

@@ -70,14 +70,15 @@ def test_masks_are_the_one_adjacency_field():
     g = gnp_sample(12, 0.5, 7)
     twin = Graph.from_edges(12, list(g.edges()))
     assert [f.name for f in dataclasses.fields(Graph)] == ["n", "masks"]
-    assert g.masks == tuple(sum(1 << w for w in g.adj[v]) for v in range(12))
+    assert g.masks == tuple(sum(1 << w for w in g.neighbors(v))
+                           for v in range(12))
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     pickled = pickle.dumps(g)
     assert pickled == pickle.dumps(twin)
     back = pickle.loads(pickled)
     assert back == g and back.masks == g.masks
     with pytest.raises(AttributeError):
-        g.adj = ()
+        g.masks = ()
 
 
 @pytest.mark.parametrize("v", [-1, -12, 12, 40])
@@ -114,6 +115,24 @@ def test_parse_edge_list_reports_offending_line():
 def test_parse_edge_list_requires_header():
     with pytest.raises(ParseError):
         parse_edge_list("0 1\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("n three\n0 1\n", 1, "bad vertex count 'three'"),
+    ("# header next\nn -2\n", 2, "negative vertex count -2"),
+    ("n 3\n0 1 2\n", 2, "expected 'u v', got '0 1 2'"),
+    ("n 3\n0 1\n\n1 1\n", 4, "loop at vertex 1"),
+    ("n 3\n0 3\n", 2, "edge (0, 3) out of range for n=3"),
+    ("n 3\n-1 2\n", 2, "edge (-1, 2) out of range for n=3"),
+    ("", None, "missing 'n <count>' header"),
+    ("# only a comment\n\n", None, "missing 'n <count>' header"),
+])
+def test_parse_edge_list_names_the_error_and_its_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +285,7 @@ def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
         for p in (0.0, 0.3, 0.5, 1.0):
             for seed in (0, 5, 2**64 + 3):
                 g, want = gnp_sample(n, p, seed), reference_gnp(n, p, seed)
-                assert g.adj == want.adj
+                assert g == want
                 assert pickle.dumps(g) == pickle.dumps(want)
                 assert repr(g) == repr(want)
                 assert g.masks == want.masks

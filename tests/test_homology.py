@@ -331,6 +331,13 @@ def test_boundary_matrices_on_empty_complex():
     assert r.empty and r.betti == (0,)
 
 
+def test_boundary_matrices_refuse_a_negative_max_dim():
+    c = neighborhood_complex(complete_graph(4))
+    with pytest.raises(ValueError) as err:
+        boundary_matrices(c, max_dim=-1)
+    assert str(err.value) == "max_dim must be nonnegative, got -1"
+
+
 @settings(max_examples=80, deadline=None)
 @given(facet_lists, st.sets(st.integers(0, 60)))
 def test_mask_faces_and_columns_match_the_tuple_reference(facets, skip):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import nbcomplex
+from nbcomplex import ExperimentConfig, TrialRecord, experiments
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Run in a fresh interpreter: the test process itself has numpy, sympy and
 # hypothesis loaded.  Modules the interpreter loaded before the import (site
@@ -44,14 +49,47 @@ def test_package_imports_only_the_standard_library():
     assert not outside, f"non-stdlib imports: {sorted(outside)}"
 
 
-def test_every_function_the_benchmark_tracer_wraps_exists():
+def bench_module(name, monkeypatch):
+    """A module of bench/, loaded by path; its own imports resolve there."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists(monkeypatch):
     # bench/tracing.py looks its targets up by name on the package's
     # modules; a renamed or deleted one should fail here, not in a run
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing", monkeypatch)
     assert tracing.TARGETS
     for module, name, _ in tracing.TARGETS:
         target = importlib.import_module(f"nbcomplex.{module}")
         assert callable(getattr(target, name, None)), f"{module}.{name}"
+
+
+def test_surveys_call_the_trial_function_the_benchmark_times(monkeypatch):
+    # bench/workloads.py times each op by rebinding experiments.run_trial;
+    # a survey that ran its trials some other way would time nothing
+    workloads = bench_module("workloads", monkeypatch)
+    original = experiments.run_trial
+    cfg = ExperimentConfig(n=5, p_grid=(0.0, 0.4, 1.0), trials=3,
+                           master_seed=7, max_dim=2)
+    times: list = []
+    with workloads.timed_trials(times):
+        records = experiments.run_survey(cfg)
+    assert len(times) == len(records) == 9
+    times.clear()
+    with workloads.timed_trials(times):
+        swept, _ = experiments.betti_sweep(5, cfg.p_grid, 3, 7, 2)
+    assert len(times) == len(swept) == 9
+    assert swept == records
+    assert experiments.run_trial is original
+
+
+def test_trial_records_keep_every_attribute_the_workloads_read():
+    text = (BENCH / "workloads.py").read_text()
+    read = set(re.findall(r"\br\.(\w+)", text))
+    assert {"betti", "errors", "torsion_seen"} <= read
+    assert read <= {f.name for f in dataclasses.fields(TrialRecord)}
