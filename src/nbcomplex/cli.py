@@ -312,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def bounds_mode(name, help_text):
         bp = bsub.add_parser(name, help=help_text)
-        bp.add_argument("-o", "--output", metavar="PATH")
+        # SUPPRESS: an absent mode-level -o must not overwrite `bounds -o`
+        bp.add_argument("-o", "--output", metavar="PATH",
+                        default=argparse.SUPPRESS)
         return bp
 
     for mode, (help_text, _, _, flags) in _BOUNDS_MODES.items():

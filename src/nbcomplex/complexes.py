@@ -92,24 +92,46 @@ class SimplicialComplex:
             m |= 1 << v
         return any(m & f == m for f in self.masks)
 
-    def faces_up_to(self, top: int, cap: Optional[int] = None
+    def faces_up_to(self, top: int, cap: Optional[int] = None,
+                    exclude: Sequence[int] = ()
                     ) -> tuple[tuple[int, ...], ...]:
         """Faces of each dimension 0..top as bitmasks, one ascending (colex)
         tuple per dimension.
 
         This is the one place faces are enumerated: the k-faces of a facet
-        are the sums of its (k+1)-subsets of powers of two.  With ``cap``
-        set, raises ``ResourceCapError`` as soon as the running total over
-        all dimensions passes it, so an oversized complex is abandoned early.
+        are the sums of its (k+1)-subsets of powers of two.  Faces inside
+        any mask of ``exclude`` are left out.  A facet inside one gives
+        nothing; a face of any other facet F lies inside a mask G exactly
+        when it lies inside F & G, so the left-out faces of each dimension
+        are those of the maximal such intersections, listed once and taken
+        from each facet's faces.  With ``cap`` set, raises
+        ``ResourceCapError`` as soon as the running total of kept faces
+        over all dimensions passes it, so an oversized complex is abandoned
+        early.
         """
-        powers = [[1 << v for v in _bits(m)] for m in self.masks]
+        kept = []
+        meets = []
+        for m in self.masks:
+            inside = [m & g for g in exclude]
+            if m not in inside:  # else m lies inside an excluded mask
+                kept.append([1 << v for v in _bits(m)])
+                meets += inside
+        meets = [[1 << v for v in _bits(w)] for w in _maximal(meets)]
         out = []
         total = 0
-        for k in range(top + 1):
-            layer: set[int] = set()
-            for bits in powers:
+        # no kept facet has a face of dimension width or above
+        width = max(map(len, kept), default=0)
+        for k in range(min(top + 1, width)):
+            left_out: set[int] = set()
+            for bits in meets:
                 if len(bits) > k:
-                    layer.update(map(sum, combinations(bits, k + 1)))
+                    left_out.update(map(sum, combinations(bits, k + 1)))
+            layer: set[int] = set()
+            for bits in kept:
+                if len(bits) > k:
+                    faces = map(sum, combinations(bits, k + 1))
+                    layer.update(set(faces) - left_out if left_out
+                                 else faces)
                     if cap is not None and total + len(layer) > cap:
                         raise ResourceCapError(
                             f"face enumeration exceeded cap {cap} in "
@@ -117,7 +139,7 @@ class SimplicialComplex:
                             partial_count=total + len(layer))
             total += len(layer)
             out.append(tuple(sorted(layer)))
-        return tuple(out)
+        return tuple(out) + ((),) * (top + 1 - len(out))
 
     def k_faces(self, k: int) -> list[tuple[int, ...]]:
         """All faces of dimension k (size k+1) as vertex tuples, sorted."""

@@ -1,24 +1,35 @@
 """Exact reduced simplicial homology over the integers and over GF(2).
 
 Homology is computed on a complex's strong core (Barmak–Minian), which
-has the complex's homotopy type: :func:`boundary_matrices` enumerates the
-core's faces only.  Boundary columns carry the usual alternating signs,
-plus an augmentation row in degree zero so that Betti numbers come out
-reduced.  Integer ranks and torsion come from an exact Smith normal form in
-arbitrary-precision integers (:func:`_smith_reduce`: unit pivots, then the
-residue).
+has the complex's homotopy type, relative to the closed star of one core
+vertex.  A closed star st v is a cone with apex v, so it is acyclic, and
+the long exact sequence of the pair (K, st v) gives H~_k(K) = H_k(K, st v)
+for every k, over Z, torsion included (Hatcher, *Algebraic Topology*,
+§2.1).  :func:`boundary_matrices` therefore enumerates only the core's
+faces outside the star of the vertex with the largest star, and the
+boundary maps drop the rows inside it; the empty face lies in the star,
+so there is no augmentation row, and the relative Betti numbers are the
+reduced ones.  That cuts away an acyclic part of the chain complex before
+any reduction, as coreductions do (Mrozek–Batko, "Coreduction homology
+algorithm", 2009), at no cost in fill-in; the answer is exact for every
+choice of vertex.  Integer ranks and torsion come from an exact Smith
+normal form in arbitrary-precision integers (:func:`_smith_reduce`: unit
+pivots, then the residue).
 
 Integer homology reduces the boundary maps from the top dimension down and
-clears as it goes: a k-face that was a unit pivot row of the map on
-(k+1)-faces is never assembled as a column of the map on k-faces.  The unit
+clears as it goes: a k-cell that was a unit pivot row of the map on
+(k+1)-cells is never assembled as a column of the map on k-cells.  The unit
 pivots form a square block of determinant +-1, so the cleared columns are
 integer combinations of the kept ones (see :func:`homology_integer`); the
 column lattice and every invariant factor stay the same, whether or not the
-map above left a residue.  GF(2) Betti numbers are no separate
-computation: by universal coefficients they follow from the integer Betti
-numbers and torsion (:attr:`HomologyResult.field2`).  Bitset elimination
-over GF(2) (:func:`betti_field2`) and the public :func:`smith_normal_form`
-are no route of their own: they stay only as the tests' independent checks.
+map above left a residue, and the relative chains are a chain complex like
+any other.  GF(2) Betti numbers are no separate computation: by universal
+coefficients they follow from the integer Betti numbers and torsion
+(:attr:`HomologyResult.field2`).  Bitset elimination over GF(2)
+(:func:`betti_field2`) and the public :func:`smith_normal_form` are no
+route of their own: they stay only as the tests' independent checks, and
+the tests build a complex's own (absolute) chains to check the relative
+ones against.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from math import gcd
 from typing import Collection, NamedTuple, Optional, Sequence, Union
 
 from .complexes import SimplicialComplex, neighborhood_complex
+from .graphs import _bits
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -167,16 +179,22 @@ def _smith_reduce(cols: list[dict]
 
 @dataclass(frozen=True)
 class ChainComplexData:
-    """Faces of a complex for dimensions 0..max_dim+1.
+    """Cells of a chain complex for dimensions 0..max_dim+1.
 
-    ``faces[k]`` lists the dimension-k faces as ascending vertex bitmasks;
+    ``faces[k]`` lists the dimension-k cells as ascending vertex bitmasks;
     :func:`_boundary_columns` assembles the boundary maps from them.
     ``complex_dim`` is the dimension of the complex the chains stand for.
+    With ``relative_to`` None the cells are all faces of a complex and the
+    map on 0-faces is the augmentation.  With ``relative_to`` a vertex v
+    they are the faces outside its closed star, the chains of the pair
+    (K, st v): rows inside the star are dropped, the empty face among them,
+    so there is no augmentation.
     """
 
     max_dim: int
     complex_dim: int
     faces: tuple[tuple[int, ...], ...]
+    relative_to: Optional[int] = None
 
     @property
     def truncated(self) -> bool:
@@ -187,18 +205,21 @@ class ChainComplexData:
 
 
 def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
-                      skip: Collection[int] = ()) -> list[dict]:
+                      skip: Collection[int] = (),
+                      augmented: bool = True) -> list[dict]:
     """Columns of the boundary map on the k-face bitmasks ``faces[k]``,
     leaving out those whose index is in ``skip``.
 
     Column j maps row indices into ``faces[k-1]`` to entries.  The rows are
     the face less one set bit, dropped from the lowest up with alternating
     sign: dropping the i-th lowest bit, that is the i-th smallest vertex,
-    carries (-1)**i.  For k = 0 each column is the augmentation entry 1.
+    carries (-1)**i.  A row missing from ``faces[k-1]`` is dropped, which
+    is the quotient by a subcomplex holding it.  For k = 0 the one row is
+    the empty face: the augmentation entry 1 when ``augmented``, and
+    dropped otherwise, leaving each column empty.
     """
-    if k == 0:
-        return [{0: 1} for j in range(len(faces[0])) if j not in skip]
-    index = {f: i for i, f in enumerate(faces[k - 1])}
+    below = faces[k - 1] if k else ((0,) if augmented else ())
+    index = {f: i for i, f in enumerate(below)}
     cols = []
     for j, f in enumerate(faces[k]):
         if j in skip:
@@ -208,7 +229,9 @@ def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
         rest = f
         while rest:
             low = rest & -rest
-            col[index[f ^ low]] = sign
+            i = index.get(f ^ low)
+            if i is not None:
+                col[i] = sign
             sign = -sign
             rest ^= low
         cols.append(col)
@@ -217,22 +240,53 @@ def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
 
 def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
                       face_cap: int = 500_000) -> ChainComplexData:
-    """Chain data of ``c.strong_core()``, standing in for that of c.
+    """Chain data of the pair (core, st v), standing in for that of c.
 
-    The core has the homotopy type of c, so its homology is c's.
+    The strong core of c has c's homotopy type.  Its vertex v with the
+    largest sum of 2**|F| over the core facets F through it (the lowest
+    label on ties) is a cone point of its closed star st v, which is
+    therefore acyclic; the long exact sequence of the pair then gives
+    H~_k(core) = H_k(core, st v) for every k, over Z, torsion included.
+    The cells are the core's faces outside st v, that is the faces of core
+    facets missing v that lie in no core facet through v, enumerated by
+    ``SimplicialComplex.faces_up_to`` with those facets excluded.  The
+    answer is exact whichever vertex is chosen; the rule only aims at the
+    largest star, which leaves the fewest cells.
+
     Dimensions 0..max_dim are covered (all of c's when max_dim is None),
     those above the core's dimension with empty layers, and
     ``complex_dim`` is c's own, so ``truncated`` means max_dim < dim c.
-    Faces of dimensions 0..max_dim+1 come from
-    ``SimplicialComplex.faces_up_to`` on the core, and ``face_cap`` caps
-    their total over all those dimensions.
+    ``face_cap`` caps the total number of cells of dimensions
+    0..max_dim+1.  The empty complex has no core vertex and gives empty
+    layers with ``relative_to`` None.
     """
     if max_dim is None:
         max_dim = max(c.dimension, 0)
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    return ChainComplexData(max_dim, c.dimension, c.strong_core().faces_up_to(
-        max_dim + 1, cap=face_cap))
+    core = c.strong_core()
+    weight = [0] * c.ground_set
+    for m in core.masks:
+        size = 1 << m.bit_count()
+        for v in _bits(m):
+            weight[v] += size
+    apex = None
+    if core.masks:
+        # max keeps the first of equal weights, so the lowest label wins
+        apex = max(range(c.ground_set), key=weight.__getitem__)
+    return _relative_chains(core, apex, max_dim, c.dimension, face_cap)
+
+
+def _relative_chains(k: SimplicialComplex, v: Optional[int], max_dim: int,
+                     complex_dim: int, face_cap: Optional[int] = None
+                     ) -> ChainComplexData:
+    """Chain data of the pair (k, st v) for dimensions 0..max_dim, standing
+    for a complex of dimension ``complex_dim``: the faces of k outside the
+    closed star of its vertex v (v None only when k is empty), at most
+    ``face_cap`` of them."""
+    star = [m for m in k.masks if m >> v & 1]
+    return ChainComplexData(max_dim, complex_dim, k.faces_up_to(
+        max_dim + 1, cap=face_cap, exclude=star), v)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +308,8 @@ class HomologyResult:
 
     ``betti`` are free ranks over the integers; ``torsion[k]`` lists the
     nontrivial invariant factors of H_k in divisibility order.  ``empty``
-    marks the empty complex, whose reported groups all vanish.
+    marks the empty complex (``complex_dim`` below 0), whose reported
+    groups all vanish.
     """
 
     betti: tuple[int, ...]
@@ -290,10 +345,13 @@ def betti_field2(d: ChainComplexData) -> tuple[int, ...]:
     """Reduced Betti numbers over GF(2) for dimensions 0..max_dim.
 
     Each boundary column becomes one bitmask of its rows (every entry is
-    +-1, so odd); a map's rank over GF(2) is that of its columns.
+    +-1, so odd); a map's rank over GF(2) is that of its columns.  On
+    relative data the star's rows are dropped, as in the integer route.
     """
+    augmented = d.relative_to is None
     ranks = [gf2_rank([sum(1 << r for r in col)
-                       for col in _boundary_columns(d.faces, k)])
+                       for col in _boundary_columns(d.faces, k,
+                                                    augmented=augmented)])
              for k in range(d.max_dim + 2)]
     return tuple(d.face_count(k) - ranks[k] - ranks[k + 1]
                  for k in range(d.max_dim + 1))
@@ -315,11 +373,12 @@ def homology_integer(d: ChainComplexData) -> HomologyResult:
     The result's GF(2) Betti numbers are derived from its Betti numbers and
     torsion (:attr:`HomologyResult.field2`); nothing more is reduced.
     """
+    augmented = d.relative_to is None
     snf = []
     cleared = frozenset()
     for k in range(d.max_dim + 1, -1, -1):
         rank, factors, pivot_rows = _smith_reduce(
-            _boundary_columns(d.faces, k, skip=cleared))
+            _boundary_columns(d.faces, k, cleared, augmented))
         snf.append((rank, factors))
         cleared = frozenset(pivot_rows)
     snf.reverse()
@@ -331,24 +390,29 @@ def homology_integer(d: ChainComplexData) -> HomologyResult:
         betti.append(d.face_count(k) - rank_k - rank_up)
         torsion.append(tuple(f for f in snf[k + 1][1] if f > 1))
     return HomologyResult(tuple(betti), tuple(torsion), d.truncated,
-                          d.face_count(0) == 0)
+                          d.complex_dim < 0)
 
 
 def euler_characteristic(c: SimplicialComplex, d: ChainComplexData) -> int:
-    """Euler characteristic of c, as the alternating sum of the face counts
-    in its chain data.  Requires untruncated data.
+    """Euler characteristic of c from its chain data.  Requires untruncated
+    data.
 
-    :func:`boundary_matrices` counts the faces of c's strong core; strong
-    collapses keep the homotopy type, so the sum is chi(c) all the same.
-    For a nonempty complex it equals 1 plus the alternating sum of the
-    reduced Betti numbers; the empty complex gives 0 and is exempt.
+    The alternating sum of the cell counts is chi of whatever the cells
+    stand for.  On :func:`boundary_matrices`' data that is the pair
+    (core, st v), and chi(core) = chi(core, st v) + chi(st v) with
+    chi(st v) = 1, a cone; strong collapses keep the homotopy type, so
+    that is chi(c).  On a complex's own faces (``relative_to`` None) the
+    sum is chi(c) itself.  For a nonempty complex chi equals 1 plus the
+    alternating sum of the reduced Betti numbers; the empty complex gives
+    0 and is exempt.
     """
     if d.truncated:
         raise ValueError("Euler characteristic needs the full complex, "
                          "but the chain data is dimension-capped")
     if c.dimension != d.complex_dim:
         raise ValueError("chain data does not match the complex")
-    return sum((-1) ** k * d.face_count(k) for k in range(d.complex_dim + 1))
+    cells = sum((-1) ** k * d.face_count(k) for k in range(d.complex_dim + 1))
+    return cells + (d.relative_to is not None)
 
 
 Connectivity = Union[int, AtLeast]
@@ -366,10 +430,13 @@ def homological_connectivity(h: HomologyResult) -> Connectivity:
 
 def graph_homology(g, max_dim: Optional[int] = None,
                    face_cap: int = 500_000) -> tuple[HomologyResult, str]:
-    """Homology of a graph's neighborhood complex, through its strong core.
+    """Homology of a graph's neighborhood complex, through its strong core
+    relative to one vertex star.
 
-    N[G] is reduced to ``strong_core()`` before any chain is built, and
-    ``face_cap`` caps the core's faces through dimension max_dim+1.  With
+    N[G] is reduced to ``strong_core()``, and the chains are those of the
+    pair (core, st v) from :func:`boundary_matrices`, whose homology is the
+    reduced homology of N[G]; ``face_cap`` caps their cells through
+    dimension max_dim+1.  With
     max_dim=None the answer covers every dimension of N[G]; ``truncated``
     says whether max_dim lies below that dimension.  Returns the result and
     the route, which is always "direct" (the complex itself, not the

@@ -34,7 +34,7 @@ from nbcomplex import (ExperimentConfig, SimplicialComplex, betti_sweep,
                        run_survey, subgraph_threshold_exponent,
                        witness_is_valid, xn_graph)
 
-from test_homology import own_faces
+from test_homology import own_faces, rational_rank
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +167,6 @@ def test_sphere_certificates_are_sound_and_extensions_validate():
 # criterion 6
 
 
-def _q_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by plain Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def _naive_reduced_betti(g) -> tuple[int, ...]:
     """All-subsets chain complex straight from the adjacency relation.
 
@@ -211,7 +191,7 @@ def _naive_reduced_betti(g) -> tuple[int, ...]:
             for drop in range(len(face)):
                 sub = face[:drop] + face[drop + 1:]
                 matrix[index[sub]][j] = (-1) ** drop
-        ranks[k] = _q_rank(matrix)
+        ranks[k] = rational_rank(matrix)
     ranks[top + 1] = 0
     return tuple(len(faces[k]) - ranks[k] - ranks[k + 1]
                  for k in range(top + 1))

@@ -19,7 +19,9 @@ from nbcomplex import cli
 from nbcomplex.cli import main
 
 from test_certificates import mycielski
-from test_homology import REFERENCE_COMPLEXES, REFERENCE_IDS, own_faces
+from test_homology import (ORACLE_COMPLEXES, REFERENCE_COMPLEXES,
+                           REFERENCE_IDS, all_subsets_betti, own_faces,
+                           random_facets, sympy_homology)
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +135,27 @@ def test_homology_max_dim_truncates(capsys):
     payload = json.loads(out)
     assert payload["betti"] == [0, 0]
     assert payload["truncated"] is True
+
+
+FACET_CASES = {**ORACLE_COMPLEXES,
+               **{f"random{seed}": (7, random_facets(seed))
+                  for seed in range(0, 16, 3)}}
+
+
+@pytest.mark.parametrize("name", sorted(FACET_CASES))
+def test_homology_of_facets_matches_the_all_subsets_oracles(tmp_path, capsys,
+                                                             name):
+    n, facets = FACET_CASES[name]
+    c = SimplicialComplex.from_faces(n, facets)
+    fpath = tmp_path / "facets.txt"
+    fpath.write_text(facet_list_text(c))
+    code, out, _ = run_cli(capsys, "homology", "--facets", str(fpath),
+                           "--coeff", "both")
+    payload = json.loads(out)
+    assert code == 0
+    betti, torsion = sympy_homology(c)
+    assert tuple(payload["betti"]) == betti == all_subsets_betti(c)
+    assert tuple(map(tuple, payload["torsion"])) == torsion
 
 
 # a cone over a pentagon: contractible, and its strong core is one point
@@ -522,6 +545,21 @@ def test_bounds_threshold(capsys):
     code, _, err = run_cli(capsys, "bounds", "threshold",
                            "--gnp", "6", "0.0", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("before_mode", [True, False],
+                         ids=["bounds-o-mode", "bounds-mode-o"])
+def test_bounds_output_path_is_written_from_either_position(
+        tmp_path, capsys, before_mode):
+    path = str(tmp_path / "window.json")
+    mode = ("vanishing-exponent", "--level", "2")
+    argv = ("bounds", "-o", path, *mode) if before_mode else \
+        ("bounds", *mode, "-o", path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == ""
+    _, printed, _ = run_cli(capsys, "bounds", *mode)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == printed
 
 
 # Per `bounds` mode: valid flags, a missing required flag (or graph source),

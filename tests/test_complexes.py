@@ -577,6 +577,24 @@ facet_lists = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
                        max_size=8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(facet_lists, st.lists(st.integers(1, 255), max_size=4),
+       st.integers(0, 4))
+def test_face_enumeration_leaves_out_the_faces_inside_excluded_masks(
+        facets, exclude, top):
+    c = SimplicialComplex.from_faces(8, facets)
+    got = c.faces_up_to(top, exclude=exclude)
+    want = [tuple(f for f in layer if not any(f & g == f for g in exclude))
+            for layer in c.faces_up_to(top)]
+    assert list(got) == want
+    # the cap counts the kept faces only
+    kept = sum(map(len, want))
+    assert c.faces_up_to(top, cap=kept, exclude=exclude) == got
+    if kept:
+        with pytest.raises(ResourceCapError):
+            c.faces_up_to(top, cap=kept - 1, exclude=exclude)
+
+
 @settings(max_examples=80)
 @given(facet_lists)
 def test_strong_core_is_an_idempotent_full_subcomplex(facets):

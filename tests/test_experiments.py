@@ -112,9 +112,10 @@ def test_run_trial_with_homology_off_leaves_fields_none():
 
 def test_run_trial_records_cap_hits_as_errors():
     # caps small enough to fail mid-run but large enough to pass config
-    # validation: the poset overflows its element budget and the strong
-    # core's faces overflow the face budget
-    caps = Caps(poset_elements=2, faces_per_dim=2)
+    # validation: the poset overflows its element budget, and the strong
+    # core, the boundary of a 5-simplex, leaves one 4-cell outside the
+    # star that the face budget counts
+    caps = Caps(poset_elements=2, faces_per_dim=0)
     cfg = tiny_config(p_grid=(0.9,), caps=caps)
     r = run_trial(cfg, 0, 0)
     assert r.errors
@@ -125,7 +126,7 @@ def test_run_trial_records_cap_hits_as_errors():
 
 def test_every_capped_step_of_a_trial_records_its_error_in_order():
     caps = Caps(clique_vertices=6, neighborliness_steps=3, poset_elements=2,
-                faces_per_dim=2)
+                faces_per_dim=0)
     cfg = tiny_config(p_grid=(0.9,), clique_stats=True, certificates=True,
                       neighborliness=True, caps=caps)
     r = run_trial(cfg, 0, 0)
@@ -135,7 +136,7 @@ def test_every_capped_step_of_a_trial_records_its_error_in_order():
         f"clique_number: {clique}",
         "neighborliness: neighborliness exceeded work cap 3 at level 1",
         "closed_set_poset: closed-set family exceeded element cap 2",
-        "homology: face enumeration exceeded cap 2 in dimension 0",
+        "homology: face enumeration exceeded cap 0 in dimension 4",
         f"certificates: {clique}")
     assert (r.clique_number, r.neighborliness, r.closed_set_count,
             r.retract_dimension, r.homology_source, r.betti, r.torsion_seen,
@@ -535,12 +536,20 @@ GOLDEN = {
                          certificates=True, neighborliness=True),
         "44274c9c3b76a3016a6d715d0f380309b2b367b891bbd10d80e0ad6748c479dd",
         "b93501c8c50ba3bb218cc3877bbc94b24bb19073f5957138ef9b9b37c892af42"),
+    # the face cap counts the cells outside one vertex star: at 300 every
+    # trial here finishes, at 60 eight of the twenty are capped
     "facecap_n14": (
         ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
                          max_dim=2, clique_stats=True,
                          caps=Caps(faces_per_dim=300)),
-        "76c19e3e9b75c58cdc266555498b9aa2da2f6cadbc62c433999f252937e863aa",
-        "011ff094c1c93f83b57e48bb190ecde60e0468a6181653e3e0a52c44cc11ff4f"),
+        "7624d1a9b806afdbb2a11809b02846e4dd712e277b0367fed0de94e885ea9ece",
+        "8b7621947b298a912ce76363c34b750b26789cc94fb2a8267629f89a5df5869d"),
+    "facecap60_n14": (
+        ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
+                         max_dim=2, clique_stats=True,
+                         caps=Caps(faces_per_dim=60)),
+        "0076b9096f41b98631f95ba0f429244d5e8af356e7c8466d7abb9ed3088a2cfc",
+        "51cbf9594c7d96e34fdd1879591ab6d6469b8f22fa3657670a9ec162b81903f9"),
     # trimmed copies of the benchmark's survey configs, and a clique-capped
     # survey, taken while trials still enumerated the maximal cliques
     "features_n30": (

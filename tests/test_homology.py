@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -41,12 +42,33 @@ def own_faces(c, max_dim=None):
     return ChainComplexData(top, c.dimension, c.faces_up_to(top + 1))
 
 
+def rational_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals by plain Gaussian elimination."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def boundary_composition_is_zero(d):
     """Whether d(k-1) after d(k) vanishes for every k (the chain complex
     law), on the columns homology_integer reduces."""
+    augmented = d.relative_to is None
     for k in range(1, d.max_dim + 2):
-        lower = _boundary_columns(d.faces, k - 1)
-        for col in _boundary_columns(d.faces, k):
+        lower = _boundary_columns(d.faces, k - 1, augmented=augmented)
+        for col in _boundary_columns(d.faces, k, augmented=augmented):
             acc: dict = {}
             for r, v in col.items():
                 for r2, v2 in lower[r].items():
@@ -317,10 +339,12 @@ def test_boundary_of_a_triangle():
     # edge (0,1) has boundary [1] - [0]
     col = _boundary_columns(d.faces, 1)[0]
     assert col == {0: -1, 1: 1}
-    # the builder stands the triangle's core, one vertex, in for it
+    # the builder stands the triangle's core, the vertex 2, in for it, and
+    # that vertex's star is all of the core: no cell is left
     core = boundary_matrices(c)
     assert core.max_dim == 2 and core.complex_dim == 2
-    assert len(core.faces[0]) == 1 and core.faces[1:] == ((), (), ())
+    assert core.relative_to == 2 and core.faces == ((), (), (), ())
+    assert homology_integer(core) == homology_integer(d)
 
 
 def test_boundary_matrices_on_empty_complex():
@@ -369,14 +393,17 @@ def test_boundary_composition_vanishes(g):
 
 
 def test_boundary_face_cap():
+    # the cap counts cells outside the star: N[K_8] has one, {1, ..., 7}
+    c = neighborhood_complex(complete_graph(8))
+    assert boundary_matrices(c, face_cap=1).faces[6] == (0b11111110,)
     with pytest.raises(ResourceCapError):
-        boundary_matrices(neighborhood_complex(complete_graph(8)), face_cap=10)
-    # the cap bounds the total through max_dim+1, not each dimension:
-    # N[K_4] has 4 + 6 + 4 faces, none of its dimensions more than 6
-    c = neighborhood_complex(complete_graph(4))
-    assert boundary_matrices(c, face_cap=14).face_count(2) == 4
+        boundary_matrices(c, face_cap=0)
+    # the cap bounds the total through max_dim+1, not each dimension: the
+    # torus less the star of vertex 0 has 9 + 8 cells, no dimension over 9
+    c = SimplicialComplex.from_faces(7, TORUS_FACETS)
+    assert boundary_matrices(c, face_cap=17).face_count(2) == 8
     with pytest.raises(ResourceCapError):
-        boundary_matrices(c, face_cap=13)
+        boundary_matrices(c, face_cap=16)
 
 
 # ---------------------------------------------------------------------------
@@ -538,35 +565,48 @@ def test_result_does_not_depend_on_the_route(n, p, seed, max_dim):
     assert routed.truncated == (max_dim is not None and max_dim < dim)
 
 
+def largest_star_vertex(c):
+    """The vertex with the largest sum of 2**|F| over the facets F through
+    it, the lowest on ties."""
+    return max(c.vertices(),
+               key=lambda v: sum(2 ** len(f) for f in c.facets if v in f))
+
+
 def test_graph_homology_enumerates_faces_once_on_the_core(monkeypatch):
     seen = []
     enumerate_faces = SimplicialComplex.faces_up_to
 
-    def counted(self, top, cap=None):
-        seen.append(self)
-        return enumerate_faces(self, top, cap)
+    def counted(self, top, cap=None, exclude=()):
+        seen.append((self, tuple(exclude)))
+        return enumerate_faces(self, top, cap, exclude)
 
     monkeypatch.setattr(SimplicialComplex, "faces_up_to", counted)
     for g in (complete_bipartite_graph(3, 4), complete_graph(6),
               gnp_sample(9, 0.5, 4)):
+        core = neighborhood_complex(g).strong_core()
+        v = largest_star_vertex(core)
         seen.clear()
         graph_homology(g)
-        assert seen == [neighborhood_complex(g).strong_core()]
+        assert seen == [(core, tuple(m for m in core.masks if m >> v & 1))]
 
 
 def test_face_cap_exhausts_every_route():
-    # N[K_10] has no dominated vertex, so its core is all 1,022 faces
+    # N[K_10] has no dominated vertex, so its core is all 1,022 faces; the
+    # only one outside the star of vertex 0 is the facet {1, ..., 9}
     with pytest.raises(ResourceCapError):
-        graph_homology(complete_graph(10), face_cap=20)
+        graph_homology(complete_graph(10), face_cap=0)
+    r, _ = graph_homology(complete_graph(10), face_cap=1)
+    assert r.betti == (0,) * 8 + (1,)
 
 
 def test_face_cap_counts_the_core_faces():
-    # N[K_{3,4}] has 22 faces; its core has 2
+    # N[K_{3,4}] has 22 faces; its core has 2, the two points, and 1 of
+    # them lies outside the star of the other
     g = complete_bipartite_graph(3, 4)
-    r, _ = graph_homology(g, face_cap=2)
+    r, _ = graph_homology(g, face_cap=1)
     assert r.betti == (1, 0, 0, 0)
     with pytest.raises(ResourceCapError):
-        graph_homology(g, face_cap=1)
+        graph_homology(g, face_cap=0)
     with pytest.raises(ResourceCapError):
         neighborhood_complex(g).faces_up_to(3, cap=21)
 
@@ -577,6 +617,9 @@ def assert_core_keeps_homology(c):
     width = max(len(full.betti), len(core.betti))
     assert padded(full, width) == padded(core, width)
     assert full.empty == core.empty
+    # and so does every pair (c, st v)
+    for v in c.vertices():
+        assert homology_integer(relative_chains(c, v)) == full
 
 
 @settings(max_examples=60, deadline=None)
@@ -609,9 +652,11 @@ def test_boundary_matrices_keep_the_input_width_and_flags():
     cone = SimplicialComplex.from_faces(7, [f + (6,) for f in RP2_FACETS])
     d = boundary_matrices(cone, max_dim=1)
     assert d.truncated and d.complex_dim == 3
-    assert d.faces[0] == (1 << 6,)
+    # the core is the apex 6, inside its own star, so no cell is left
+    assert d.relative_to == 6 and d.faces == ((), (), ())
     r = homology_integer(d)
     assert r.betti == (0, 0) and r.torsion == ((), ())
+    assert not r.empty
     full = homology_integer(boundary_matrices(cone))
     assert full.betti == (0, 0, 0, 0) and full.field2 == (0, 0, 0, 0)
     assert not full.truncated
@@ -625,3 +670,149 @@ def test_result_json_shape():
     d = r.to_json_dict()
     assert d == {"betti": [0, 1], "torsion": [[], []],
                  "field2": [0, 1], "truncated": False}
+
+
+# ---------------------------------------------------------------------------
+# homology relative to a vertex star
+
+
+def relative_chains(c, v, max_dim=None):
+    """Chain data of the pair (c, st v), through the builder's helper."""
+    top = max(c.dimension, 0) if max_dim is None else max_dim
+    return homology._relative_chains(c, v, top, c.dimension)
+
+
+def all_subsets_chains(c):
+    """Faces of c by dimension, from every vertex subset that lies in some
+    facet, and the dense matrix (rows of entries) of the boundary map on
+    each dimension, the augmentation row of ones first.  Shares no code
+    with faces_up_to or _boundary_columns."""
+    layers = [[()]]  # the empty face, the augmentation's one row
+    for size in range(1, c.ground_set + 1):
+        layer = [s for s in itertools.combinations(range(c.ground_set), size)
+                 if c.is_face(s)]
+        if not layer:
+            break
+        layers.append(layer)
+    maps = []
+    for lower, upper in zip(layers, layers[1:]):
+        index = {f: i for i, f in enumerate(lower)}
+        rows = [[0] * len(upper) for _ in lower]
+        for j, f in enumerate(upper):
+            for drop in range(len(f)):
+                rows[index[f[:drop] + f[drop + 1:]]][j] = (-1) ** drop
+        maps.append(rows)
+    return layers[1:], maps
+
+
+def all_subsets_betti(c):
+    """Reduced Betti numbers of c by rational ranks of its all-subsets
+    boundary matrices."""
+    faces, maps = all_subsets_chains(c)
+    ranks = [rational_rank(rows) for rows in maps] + [0]
+    return tuple(len(faces[k]) - ranks[k] - ranks[k + 1]
+                 for k in range(len(faces)))
+
+
+def sympy_homology(c):
+    """Reduced Betti numbers and torsion of c from sympy's Smith normal
+    form of its all-subsets boundary matrices."""
+    faces, maps = all_subsets_chains(c)
+    snf = [sympy_invariants(rows, len(rows[0])) for rows in maps] + [(0, ())]
+    betti = tuple(len(faces[k]) - snf[k][0] - snf[k + 1][0]
+                  for k in range(len(faces)))
+    torsion = tuple(tuple(f for f in snf[k + 1][1] if f > 1)
+                    for k in range(len(faces)))
+    return betti, torsion
+
+
+CONE_RP2_FACETS = [f + (6,) for f in RP2_FACETS]
+
+# named complexes, each with the ground set its facets live on
+ORACLE_COMPLEXES = {
+    "rp2": (6, RP2_FACETS),
+    "torus": (7, TORUS_FACETS),
+    "cone-rp2": (7, CONE_RP2_FACETS),
+    "suspended-rp2": (8, SUSPENDED_RP2_FACETS),
+    **{f"nk{n}": (n, neighborhood_complex(complete_graph(n)).facets)
+       for n in range(2, 7)},
+    # the complete graph K_5 itself, as a 1-dimensional complex
+    "k5": (5, list(itertools.combinations(range(5), 2))),
+}
+
+
+def random_facets(seed):
+    """A seeded facet list on 7 vertices: 3 to 12 facets of 1 to 4
+    vertices."""
+    rng = random.Random(5000 + seed)
+    return [rng.sample(range(7), rng.randint(1, 4))
+            for _ in range(rng.randint(3, 12))]
+
+
+def assert_relative_homology_matches_the_oracles(c):
+    absolute = homology_integer(own_faces(c))
+    betti, torsion = sympy_homology(c)
+    assert absolute.betti == betti == all_subsets_betti(c)
+    assert absolute.torsion == torsion
+    chi = euler_characteristic(c, own_faces(c))
+    for v in c.vertices():
+        d = relative_chains(c, v)
+        assert d.relative_to == v
+        assert boundary_composition_is_zero(d)
+        result = homology_integer(d)
+        assert result == absolute, f"relative to {v}"
+        assert betti_field2(d) == result.field2
+        assert euler_characteristic(c, d) == chi
+        # a truncated pair keeps the absolute route's flags and prefix
+        low = homology_integer(relative_chains(c, v, max_dim=0))
+        assert low == homology_integer(own_faces(c, max_dim=0))
+    # and the builder's own choice, on the strong core
+    assert homology_integer(boundary_matrices(c)) == absolute
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+def test_relative_homology_matches_the_oracles_for_every_vertex(name):
+    n, facets = ORACLE_COMPLEXES[name]
+    assert_relative_homology_matches_the_oracles(
+        SimplicialComplex.from_faces(n, facets))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_relative_homology_of_random_complexes_for_every_vertex(seed):
+    assert_relative_homology_matches_the_oracles(
+        SimplicialComplex.from_faces(7, random_facets(seed)))
+
+
+def own_star_vertex(c):
+    """The vertex boundary_matrices takes on a complex that is its own
+    strong core."""
+    assert c.strong_core() == c
+    return boundary_matrices(c).relative_to
+
+
+def test_builder_takes_the_vertex_with_the_largest_star():
+    # the torus is vertex-transitive, so the lowest label wins the tie
+    torus = SimplicialComplex.from_faces(7, TORUS_FACETS)
+    assert own_star_vertex(torus) == 0
+    # a square and a triangle sharing vertex 3, which weighs 4 * 2**2
+    c = SimplicialComplex.from_faces(
+        6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (3, 5)])
+    assert own_star_vertex(c) == 3 == largest_star_vertex(c)
+    # the cone over RP^2 collapses to its apex, the star of which is all
+    cone = SimplicialComplex.from_faces(7, CONE_RP2_FACETS)
+    assert boundary_matrices(cone).relative_to == 6
+
+
+def test_empty_comes_from_the_dimension_not_the_cells():
+    # a contractible core leaves no relative cell, yet is no empty complex
+    cone = SimplicialComplex.from_faces(7, CONE_RP2_FACETS)
+    d = boundary_matrices(cone)
+    assert all(layer == () for layer in d.faces)
+    r = homology_integer(d)
+    assert not r.empty and r.betti == (0, 0, 0, 0)
+    assert euler_characteristic(cone, d) == 1
+    empty = SimplicialComplex.from_faces(3, [])
+    d = boundary_matrices(empty)
+    assert d.relative_to is None and d.complex_dim == -1
+    assert homology_integer(d).empty
+    assert euler_characteristic(empty, d) == 0
