@@ -27,7 +27,7 @@ facets, hitting-set targets or lower covers are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, filterfalse, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -106,8 +106,9 @@ class SimplicialComplex:
         are those of the maximal such intersections, listed once and taken
         from each facet's faces.  With ``cap`` set, raises
         ``ResourceCapError`` as soon as the running total of kept faces
-        over all dimensions passes it, so an oversized complex is abandoned
-        early.
+        over all dimensions, or the number of faces of one dimension listed
+        to be left out, passes it, so an oversized complex is abandoned
+        early even when nearly all of it is left out.
         """
         kept = []
         meets = []
@@ -125,13 +126,18 @@ class SimplicialComplex:
             left_out: set[int] = set()
             for bits in meets:
                 if len(bits) > k:
+                    # one intersection's faces are distinct, so more than
+                    # cap of them pass the cap before they are listed
+                    if cap is not None and comb(len(bits), k + 1) > cap:
+                        raise _left_out_cap(cap, k, comb(len(bits), k + 1))
                     left_out.update(map(sum, combinations(bits, k + 1)))
+                    if cap is not None and len(left_out) > cap:
+                        raise _left_out_cap(cap, k, len(left_out))
             layer: set[int] = set()
             for bits in kept:
                 if len(bits) > k:
                     faces = map(sum, combinations(bits, k + 1))
-                    layer.update(set(faces) - left_out if left_out
-                                 else faces)
+                    layer.update(filterfalse(left_out.__contains__, faces))
                     if cap is not None and total + len(layer) > cap:
                         raise ResourceCapError(
                             f"face enumeration exceeded cap {cap} in "
@@ -192,6 +198,12 @@ class SimplicialComplex:
     def component_count(self) -> int:
         """Connected components of the underlying 1-skeleton."""
         return _components(self.masks)
+
+
+def _left_out_cap(cap: int, k: int, count: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"left-out faces exceeded cap {cap} in dimension {k}",
+        partial_count=count)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

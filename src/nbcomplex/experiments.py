@@ -36,9 +36,10 @@ class Caps:
     ``faces_per_dim`` caps the total number of cells that homology
     reduces over dimensions 0..max_dim+1, not each dimension on its own:
     the faces of the neighborhood complex's strong core outside the star
-    of one vertex (see ``boundary_matrices``).  The name is kept because it
-    appears in every summary's config echo.  ``poset_elements`` caps
-    ``closed_set_stats``, which gives
+    of one vertex (see ``boundary_matrices``).  It also caps, in each of
+    those dimensions, the star's faces listed to leave them out.  The name
+    is kept because it appears in every summary's config echo.
+    ``poset_elements`` caps ``closed_set_stats``, which gives
     the ``closed_sets`` and ``retract_dim`` record fields.  ``clique_vertices``
     caps the vertex count of the maximum-clique search (the clique number)
     and of the simplicial-vertex scan (the certificates); neither lists the

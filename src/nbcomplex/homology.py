@@ -204,24 +204,27 @@ class ChainComplexData:
         return len(self.faces[k]) if 0 <= k < len(self.faces) else 0
 
 
-def _boundary_columns(faces: tuple[tuple[int, ...], ...], k: int,
-                      skip: Collection[int] = (),
-                      augmented: bool = True) -> list[dict]:
-    """Columns of the boundary map on the k-face bitmasks ``faces[k]``,
-    leaving out those whose index is in ``skip``.
+def _boundary_columns(d: ChainComplexData, k: int,
+                      skip: Collection[int] = ()) -> list[dict]:
+    """Columns of the boundary map on the k-cells ``d.faces[k]``, leaving
+    out those whose index is in ``skip``.
 
-    Column j maps row indices into ``faces[k-1]`` to entries.  The rows are
-    the face less one set bit, dropped from the lowest up with alternating
-    sign: dropping the i-th lowest bit, that is the i-th smallest vertex,
-    carries (-1)**i.  A row missing from ``faces[k-1]`` is dropped, which
-    is the quotient by a subcomplex holding it.  For k = 0 the one row is
-    the empty face: the augmentation entry 1 when ``augmented``, and
-    dropped otherwise, leaving each column empty.
+    Column j maps row indices into ``d.faces[k-1]`` to entries.  The rows
+    are the face less one set bit, dropped from the lowest up with
+    alternating sign: dropping the i-th lowest bit, that is the i-th
+    smallest vertex, carries (-1)**i.  A row missing from ``d.faces[k-1]``
+    is dropped, which is the quotient by a subcomplex holding it.  For
+    k = 0 the one row is the empty face: the augmentation entry 1 on a
+    complex's own faces, and dropped on relative data (the empty face lies
+    in the star), leaving each column empty.
     """
-    below = faces[k - 1] if k else ((0,) if augmented else ())
+    if k:
+        below = d.faces[k - 1]
+    else:
+        below = (0,) if d.relative_to is None else ()
     index = {f: i for i, f in enumerate(below)}
     cols = []
-    for j, f in enumerate(faces[k]):
+    for j, f in enumerate(d.faces[k]):
         if j in skip:
             continue
         col = {}
@@ -257,8 +260,10 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
     those above the core's dimension with empty layers, and
     ``complex_dim`` is c's own, so ``truncated`` means max_dim < dim c.
     ``face_cap`` caps the total number of cells of dimensions
-    0..max_dim+1.  The empty complex has no core vertex and gives empty
-    layers with ``relative_to`` None.
+    0..max_dim+1, and in each of those dimensions the number of star
+    faces listed to leave them out, so a dense core that lies almost
+    wholly in the star is still abandoned early.  The empty complex has
+    no core vertex and gives empty layers with ``relative_to`` None.
     """
     if max_dim is None:
         max_dim = max(c.dimension, 0)
@@ -282,8 +287,8 @@ def _relative_chains(k: SimplicialComplex, v: Optional[int], max_dim: int,
                      ) -> ChainComplexData:
     """Chain data of the pair (k, st v) for dimensions 0..max_dim, standing
     for a complex of dimension ``complex_dim``: the faces of k outside the
-    closed star of its vertex v (v None only when k is empty), at most
-    ``face_cap`` of them."""
+    closed star of its vertex v (v None only when k is empty), capped by
+    ``face_cap`` as in :func:`boundary_matrices`."""
     star = [m for m in k.masks if m >> v & 1]
     return ChainComplexData(max_dim, complex_dim, k.faces_up_to(
         max_dim + 1, cap=face_cap, exclude=star), v)
@@ -348,10 +353,8 @@ def betti_field2(d: ChainComplexData) -> tuple[int, ...]:
     +-1, so odd); a map's rank over GF(2) is that of its columns.  On
     relative data the star's rows are dropped, as in the integer route.
     """
-    augmented = d.relative_to is None
     ranks = [gf2_rank([sum(1 << r for r in col)
-                       for col in _boundary_columns(d.faces, k,
-                                                    augmented=augmented)])
+                       for col in _boundary_columns(d, k)])
              for k in range(d.max_dim + 2)]
     return tuple(d.face_count(k) - ranks[k] - ranks[k + 1]
                  for k in range(d.max_dim + 1))
@@ -373,12 +376,11 @@ def homology_integer(d: ChainComplexData) -> HomologyResult:
     The result's GF(2) Betti numbers are derived from its Betti numbers and
     torsion (:attr:`HomologyResult.field2`); nothing more is reduced.
     """
-    augmented = d.relative_to is None
     snf = []
     cleared = frozenset()
     for k in range(d.max_dim + 1, -1, -1):
         rank, factors, pivot_rows = _smith_reduce(
-            _boundary_columns(d.faces, k, cleared, augmented))
+            _boundary_columns(d, k, cleared))
         snf.append((rank, factors))
         cleared = frozenset(pivot_rows)
     snf.reverse()
@@ -436,11 +438,11 @@ def graph_homology(g, max_dim: Optional[int] = None,
     N[G] is reduced to ``strong_core()``, and the chains are those of the
     pair (core, st v) from :func:`boundary_matrices`, whose homology is the
     reduced homology of N[G]; ``face_cap`` caps their cells through
-    dimension max_dim+1.  With
-    max_dim=None the answer covers every dimension of N[G]; ``truncated``
-    says whether max_dim lies below that dimension.  Returns the result and
-    the route, which is always "direct" (the complex itself, not the
-    closed-set retract).
+    dimension max_dim+1, and the star faces listed in each dimension to
+    leave them out.  With max_dim=None the answer covers every dimension
+    of N[G]; ``truncated`` says whether max_dim lies below that dimension.
+    Returns the result and the route, which is always "direct" (the
+    complex itself, not the closed-set retract).
     """
     data = boundary_matrices(neighborhood_complex(g), max_dim, face_cap)
     return homology_integer(data), "direct"

@@ -587,12 +587,18 @@ def test_face_enumeration_leaves_out_the_faces_inside_excluded_masks(
     want = [tuple(f for f in layer if not any(f & g == f for g in exclude))
             for layer in c.faces_up_to(top)]
     assert list(got) == want
-    # the cap counts the kept faces only
-    kept = sum(map(len, want))
-    assert c.faces_up_to(top, cap=kept, exclude=exclude) == got
-    if kept:
+    # the cap counts the kept faces over all dimensions, and in each
+    # dimension the faces of kept facets it lists to leave out
+    kept = [f for f in c.masks if not any(f & g == f for g in exclude)]
+    listed = [sum(1 for f in layer
+                  if any(f & g == f for g in exclude)
+                  and any(f & m == f for m in kept))
+              for layer in c.faces_up_to(top)]
+    cap = max([sum(map(len, want))] + listed)
+    assert c.faces_up_to(top, cap=cap, exclude=exclude) == got
+    if cap:
         with pytest.raises(ResourceCapError):
-            c.faces_up_to(top, cap=kept - 1, exclude=exclude)
+            c.faces_up_to(top, cap=cap - 1, exclude=exclude)
 
 
 @settings(max_examples=80)

@@ -113,8 +113,8 @@ def test_run_trial_with_homology_off_leaves_fields_none():
 def test_run_trial_records_cap_hits_as_errors():
     # caps small enough to fail mid-run but large enough to pass config
     # validation: the poset overflows its element budget, and the strong
-    # core, the boundary of a 5-simplex, leaves one 4-cell outside the
-    # star that the face budget counts
+    # core, the boundary of a 5-simplex, lists the star's vertices, which
+    # the face budget counts
     caps = Caps(poset_elements=2, faces_per_dim=0)
     cfg = tiny_config(p_grid=(0.9,), caps=caps)
     r = run_trial(cfg, 0, 0)
@@ -136,7 +136,7 @@ def test_every_capped_step_of_a_trial_records_its_error_in_order():
         f"clique_number: {clique}",
         "neighborliness: neighborliness exceeded work cap 3 at level 1",
         "closed_set_poset: closed-set family exceeded element cap 2",
-        "homology: face enumeration exceeded cap 0 in dimension 4",
+        "homology: left-out faces exceeded cap 0 in dimension 0",
         f"certificates: {clique}")
     assert (r.clique_number, r.neighborliness, r.closed_set_count,
             r.retract_dimension, r.homology_source, r.betti, r.torsion_seen,
@@ -536,8 +536,9 @@ GOLDEN = {
                          certificates=True, neighborliness=True),
         "44274c9c3b76a3016a6d715d0f380309b2b367b891bbd10d80e0ad6748c479dd",
         "b93501c8c50ba3bb218cc3877bbc94b24bb19073f5957138ef9b9b37c892af42"),
-    # the face cap counts the cells outside one vertex star: at 300 every
-    # trial here finishes, at 60 eight of the twenty are capped
+    # the face cap counts the cells outside one vertex star, and the star's
+    # faces listed in each dimension: at 300 every trial here finishes, at
+    # 60 ten of the twenty are capped
     "facecap_n14": (
         ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
                          max_dim=2, clique_stats=True,
@@ -548,8 +549,8 @@ GOLDEN = {
         ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
                          max_dim=2, clique_stats=True,
                          caps=Caps(faces_per_dim=60)),
-        "0076b9096f41b98631f95ba0f429244d5e8af356e7c8466d7abb9ed3088a2cfc",
-        "51cbf9594c7d96e34fdd1879591ab6d6469b8f22fa3657670a9ec162b81903f9"),
+        "0e90d5e91abb29862a44723db95629e2657137bea442c81b13a499ba694271be",
+        "685dcf08d2fd76c98b310ee6543739912bbfa6b9694a444626556e5cfd1c987a"),
     # trimmed copies of the benchmark's survey configs, and a clique-capped
     # survey, taken while trials still enumerated the maximal cliques
     "features_n30": (

@@ -65,10 +65,9 @@ def rational_rank(rows: list[list[int]]) -> int:
 def boundary_composition_is_zero(d):
     """Whether d(k-1) after d(k) vanishes for every k (the chain complex
     law), on the columns homology_integer reduces."""
-    augmented = d.relative_to is None
     for k in range(1, d.max_dim + 2):
-        lower = _boundary_columns(d.faces, k - 1, augmented=augmented)
-        for col in _boundary_columns(d.faces, k, augmented=augmented):
+        lower = _boundary_columns(d, k - 1)
+        for col in _boundary_columns(d, k):
             acc: dict = {}
             for r, v in col.items():
                 for r2, v2 in lower[r].items():
@@ -207,7 +206,7 @@ def test_snf_reaches_the_residue_phase():
 def test_snf_matches_sympy_on_surface_boundaries(n, facets):
     d = own_faces(SimplicialComplex.from_faces(n, facets))
     for k in range(d.max_dim + 2):
-        cols = _boundary_columns(d.faces, k)
+        cols = _boundary_columns(d, k)
         rows = [[col.get(i, 0) for col in cols]
                 for i in range(d.face_count(k - 1) if k else 1)]
         assert smith_normal_form(cols) == sympy_invariants(rows, len(cols))
@@ -251,7 +250,7 @@ def assert_clearing_is_exact(d):
         above = reductions[k + 1][3] if k + 1 < len(reductions) else 0
         assert ncols == d.face_count(k) - above
         assert (rank, factors) == \
-            smith_normal_form(_boundary_columns(d.faces, k))
+            smith_normal_form(_boundary_columns(d, k))
     assert result.field2 == betti_field2(d)
     return reductions
 
@@ -335,9 +334,9 @@ def test_boundary_of_a_triangle():
     assert d.max_dim == 2 and not d.truncated
     assert d.faces[1] == (0b011, 0b101, 0b110)
     # augmentation row: ones
-    assert _boundary_columns(d.faces, 0) == [{0: 1}] * 3
+    assert _boundary_columns(d, 0) == [{0: 1}] * 3
     # edge (0,1) has boundary [1] - [0]
-    col = _boundary_columns(d.faces, 1)[0]
+    col = _boundary_columns(d, 1)[0]
     assert col == {0: -1, 1: 1}
     # the builder stands the triangle's core, the vertex 2, in for it, and
     # that vertex's star is all of the core: no cell is left
@@ -366,12 +365,13 @@ def test_boundary_matrices_refuse_a_negative_max_dim():
 @given(facet_lists, st.sets(st.integers(0, 60)))
 def test_mask_faces_and_columns_match_the_tuple_reference(facets, skip):
     c = SimplicialComplex.from_faces(8, facets)
-    layers = c.faces_up_to(max(c.dimension, 0) + 1)
+    d = own_faces(c)
+    layers = d.faces
     for k, layer in enumerate(layers):
         assert all(a < b for a, b in zip(layer, layer[1:]))
         want = {t for f in c.facets for t in itertools.combinations(f, k + 1)}
         assert sorted(tuple(_bits(m)) for m in layer) == sorted(want)
-    assert homology._boundary_columns(layers, 0, skip) == [
+    assert homology._boundary_columns(d, 0, skip) == [
         {0: 1} for j in range(len(layers[0])) if j not in skip]
     for k in range(1, len(layers)):
         row = {tuple(_bits(m)): i for i, m in enumerate(layers[k - 1])}
@@ -381,7 +381,7 @@ def test_mask_faces_and_columns_match_the_tuple_reference(facets, skip):
                 t = tuple(_bits(f))
                 want.append({row[t[:i] + t[i + 1:]]: (-1) ** i
                              for i in range(k + 1)})
-        assert homology._boundary_columns(layers, k, skip) == want
+        assert homology._boundary_columns(d, k, skip) == want
 
 
 @settings(max_examples=30)
@@ -393,11 +393,14 @@ def test_boundary_composition_vanishes(g):
 
 
 def test_boundary_face_cap():
-    # the cap counts cells outside the star: N[K_8] has one, {1, ..., 7}
+    # the cap counts the cells outside the star, and the star's faces
+    # listed in each dimension: N[K_8] has one cell, {1, ..., 7}, and the
+    # star of vertex 0 meets it in the faces of 7 vertices, 35 of the most
+    # in one dimension
     c = neighborhood_complex(complete_graph(8))
-    assert boundary_matrices(c, face_cap=1).faces[6] == (0b11111110,)
-    with pytest.raises(ResourceCapError):
-        boundary_matrices(c, face_cap=0)
+    assert boundary_matrices(c, face_cap=35).faces[6] == (0b11111110,)
+    with pytest.raises(ResourceCapError, match="left-out faces"):
+        boundary_matrices(c, face_cap=34)
     # the cap bounds the total through max_dim+1, not each dimension: the
     # torus less the star of vertex 0 has 9 + 8 cells, no dimension over 9
     c = SimplicialComplex.from_faces(7, TORUS_FACETS)
@@ -592,11 +595,22 @@ def test_graph_homology_enumerates_faces_once_on_the_core(monkeypatch):
 
 def test_face_cap_exhausts_every_route():
     # N[K_10] has no dominated vertex, so its core is all 1,022 faces; the
-    # only one outside the star of vertex 0 is the facet {1, ..., 9}
+    # only one outside the star of vertex 0 is the facet {1, ..., 9}, and
+    # listing the star's faces inside it takes C(9, 4) = 126 in dimension 3
     with pytest.raises(ResourceCapError):
-        graph_homology(complete_graph(10), face_cap=0)
-    r, _ = graph_homology(complete_graph(10), face_cap=1)
+        graph_homology(complete_graph(10), face_cap=125)
+    r, _ = graph_homology(complete_graph(10), face_cap=126)
     assert r.betti == (0,) * 8 + (1,)
+
+
+def test_face_cap_stops_a_dense_core_inside_the_star():
+    # N[K_20] leaves one cell outside the star, but the star's faces inside
+    # it number C(19, k+1) in dimension k, so listing them passes the cap
+    # in dimension 5 (27,132 > 20,000) before any larger layer is built
+    with pytest.raises(ResourceCapError) as err:
+        graph_homology(complete_graph(20), face_cap=20_000)
+    assert str(err.value) == \
+        "left-out faces exceeded cap 20000 in dimension 5"
 
 
 def test_face_cap_counts_the_core_faces():
