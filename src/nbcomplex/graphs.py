@@ -22,7 +22,8 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError, ResourceCapError
-from .seeds import mix64, splitmix64, unit_threshold
+from .seeds import (LANE_BITS, lane_ones, mix64, splitmix64_lanes,
+                    unit_threshold)
 
 
 @dataclass(frozen=True)
@@ -255,25 +256,73 @@ def from_family_spec(spec: str) -> Graph:
 # seeded G(n, p)
 
 
-# splitmix64(t) for pair indices t = 0, 1, ...: the per-pair half of
-# mix64(seed, t), which no seed changes.  Never extended in place, only
-# rebound to a new tuple, so a thread reading it while another grows it
-# sees one whole table or the other, each a correct prefix.  It grows to at
-# most _PAIR_KEY_CAP keys, the pairs of 64 vertices.
-_PAIR_KEY_CAP = 64 * 63 // 2
-_pair_keys: tuple[int, ...] = ()
+# Pair t = (u, v), u < v in lexicographic order, is lane t of a big int:
+# bits 128t..128t+127 (see seeds.splitmix64_lanes).  _key_lanes holds
+# splitmix64(t), the per-pair half of mix64(seed, t) that no seed changes,
+# for the pairs of _TABLE_N vertices.  It is built on first use and only
+# ever rebound, never changed, so threads that race to build it each bind
+# an equal int.
+_TABLE_N = 64
+_TABLE_PAIRS = _TABLE_N * (_TABLE_N - 1) // 2
+_TABLE_ONES = lane_ones(_TABLE_PAIRS)
+_key_lanes = 0
+
+# A lane's bit 64 after the threshold add is 0 for an edge, 1 for none.
+_EDGE_CHAR = bytes.maketrans(b"\0\1", b"10")
 
 
-def _pair_keys_upto(count: int) -> tuple[int, ...]:
-    """The shared table, grown first if it holds fewer than
-    ``min(count, _PAIR_KEY_CAP)`` keys."""
-    global _pair_keys
-    keys = _pair_keys
-    shared = min(count, _PAIR_KEY_CAP)
-    if len(keys) < shared:
-        keys += tuple(splitmix64(t) for t in range(len(keys), shared))
-        _pair_keys = keys
+def _ramp(count: int) -> int:
+    """The int whose lane t holds t, for t < ``count``: the closed form of
+    the sum of t * x**t with x = 2**128."""
+    x = 1 << LANE_BITS
+    return (x - count * x**count + (count - 1) * x**(count + 1)) // (x - 1)**2
+
+
+def _key_table() -> int:
+    global _key_lanes
+    keys = _key_lanes
+    if not keys:
+        keys = _key_lanes = splitmix64_lanes(_ramp(_TABLE_PAIRS), _TABLE_ONES)
     return keys
+
+
+def _edge_chars(keys: int, ones: int, count: int, h: int,
+                threshold: int) -> bytes:
+    """For ``count`` lanes of keys, ``b"1"`` where ``splitmix64(h ^ key)``
+    falls below ``threshold`` and ``b"0"`` elsewhere, the last lane first.
+
+    ``draw + 2**64 - threshold`` reaches bit 64 iff the draw is not below
+    the threshold, for every threshold from 0 to 2**64; the sum is below
+    2**65, so it stays in its lane.  Big-endian, that bit is byte 7 of
+    the lane's 16.
+    """
+    draws = splitmix64_lanes(keys ^ ones * h, ones)
+    over = draws + ones * ((1 << 64) - threshold)
+    return over.to_bytes(16 * count, "big")[7::16].translate(_EDGE_CHAR)
+
+
+def _symmetric_masks(n: int, chars: bytes) -> tuple[int, ...]:
+    """The adjacency masks of the graph on n vertices whose pairs are
+    edges where ``chars`` (:func:`_edge_chars`, last pair first) is '1'.
+
+    Row r of an n-by-n grid of chars gets the r pairs (u, v) of u = n-1-r,
+    v from n - 1 down to u + 1, which are chars r(r-1)/2 onwards; so grid
+    char n*r + c is entry (n-1-r, n-1-c) and ``int(grid, 2)`` has bit
+    n*u + v for edge uv, u < v.  The transposed grid takes char j*n mod
+    (n*n - 1) for its char j < n*n - 1, as n*n = 1 there: that maps
+    j = n*r + c to r + n*c, and is one step-n slice of the grid repeated
+    n times.
+    """
+    if n < 2:
+        return (0,) * n
+    grid = bytearray(b"0") * (n * n)
+    t = 0
+    for r in range(1, n):
+        grid[n * r:n * r + r] = chars[t:t + r]
+        t += r
+    both = int(grid, 2) | int((grid[:-1] * n)[::n] + grid[-1:], 2)
+    row = (1 << n) - 1
+    return tuple([both >> k & row for k in range(0, n * n, n)])
 
 
 def gnp_sample(n: int, p: float, seed: int) -> Graph:
@@ -284,13 +333,19 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     in lexicographic order.  The same arguments always give the same graph,
     independent of call order or platform.
 
-    ``mix64(seed, t) == splitmix64(mix64(seed) ^ splitmix64(t))``, so the
-    seed is hashed once per call and ``splitmix64(t)`` once per process:
-    a module-level table keeps those keys, C(n, 2) ints for the largest n
-    sampled so far up to n = 64, and each pair costs one ``splitmix64``.
-    Above n = 64 a row that runs past the table hashes its own keys, so a
-    call holds at most one row of keys at a time.  The draws are written
-    straight into the graph's adjacency bitmasks.
+    Pair t is an edge iff its draw ``mix64(seed, t) == splitmix64(mix64(seed)
+    ^ splitmix64(t))`` falls below ``unit_threshold(p)``.  Every pair's draw
+    is computed at once, each in its own 128-bit lane of one int
+    (:func:`~nbcomplex.seeds.splitmix64_lanes`, exact lane by lane), so a
+    call runs a fixed number of whole-int operations, not one
+    ``splitmix64`` per pair.  The keys ``splitmix64(t)`` of the pairs of
+    64 vertices are hashed once per process into a lane table, and one
+    int add against the threshold decides every pair.  The edges become
+    the adjacency bitmasks through one char per pair and ``int(..., 2)``
+    on a grid of them and on its transpose.  Above n = 64 the same kernel
+    runs one row of pairs at a time, each row hashes its own keys, and its
+    edges are copied into the masks of their other ends, so a call holds
+    the lanes of one row, not of the graph.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -298,25 +353,25 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability out of range: {p}")
     threshold = unit_threshold(p)
     h = mix64(seed)
-    table = _pair_keys_upto(n * (n - 1) // 2)
-    # keys[t - base] == splitmix64(t).  Rows index the table rather than
-    # slice it: CPython 3.11 parks every freed 20-item tuple on a free list
-    # that no allocation draws from, so a slice per row held about 200
-    # bytes per sample until the next full collection.
-    keys, base = table, 0
+    if n <= _TABLE_N:
+        pairs = n * (n - 1) // 2
+        low = (1 << LANE_BITS * pairs) - 1
+        chars = _edge_chars(_key_table() & low, _TABLE_ONES & low, pairs, h,
+                            threshold)
+        return Graph(n, _symmetric_masks(n, chars))
     masks = [0] * n
-    t = 0
-    for u in range(n):
-        end = t + n - 1 - u  # the pairs (u, v), v > u, are t..end-1
-        if end > len(table):
-            keys, base = tuple(map(splitmix64, range(t, end))), t
-        row = 0
-        for v in range(u + 1, n):
-            if splitmix64(h ^ keys[t - base]) < threshold:
-                row |= 1 << v
-                masks[v] |= 1 << u
-            t += 1
+    all_ones, ramp = lane_ones(n - 1), _ramp(n - 1)
+    first = 0  # the pairs (u, v), v > u, are first..first + count - 1
+    for u in range(n - 1):
+        count = n - 1 - u
+        low = (1 << LANE_BITS * count) - 1
+        ones = all_ones & low
+        keys = splitmix64_lanes(ones * first + (ramp & low), ones)
+        row = int(_edge_chars(keys, ones, count, h, threshold), 2) << u + 1
         masks[u] |= row
+        for v in _bits(row):
+            masks[v] |= 1 << u
+        first += count
     return Graph(n, tuple(masks))
 
 

@@ -14,11 +14,13 @@ from nbcomplex import (ExperimentConfig, Graph, SimplicialComplex,
                        facet_list_text, gnp_sample, graph_homology,
                        kneser_graph, neighborhood_complex, parse_edge_list,
                        parse_facet_list, records_from_csv,
-                       records_from_jsonl, run_survey, run_trial)
+                       records_from_jsonl, run_survey, run_trial,
+                       serialize_edge_list)
 from nbcomplex import cli
 from nbcomplex.cli import main
 
 from test_certificates import mycielski
+from test_graphs import reference_gnp
 from test_homology import (ORACLE_COMPLEXES, REFERENCE_COMPLEXES,
                            REFERENCE_IDS, all_subsets_betti, own_faces,
                            random_facets, sympy_homology)
@@ -44,6 +46,14 @@ def test_gen_gnp_matches_library_sampler(capsys):
     code, out, _ = run_cli(capsys, "gen", "--gnp", "8", "0.5", "3")
     assert code == 0
     assert parse_edge_list(out) == gnp_sample(8, 0.5, 3)
+
+
+@pytest.mark.parametrize("n, p, seed", [(70, 0.3, 5), (120, 0.01, 3)])
+def test_gen_gnp_past_the_lane_table_prints_the_reference_graph(
+        capsys, n, p, seed):
+    code, out, _ = run_cli(capsys, "gen", "--gnp", str(n), str(p), str(seed))
+    assert code == 0
+    assert out == serialize_edge_list(reference_gnp(n, p, seed))
 
 
 def test_gen_to_file(tmp_path, capsys):

@@ -26,7 +26,8 @@ from nbcomplex import (Graph, ParseError, ResourceCapError, SubgraphWitness,
                        parse_edge_list, path_graph, serialize_edge_list,
                        witness_is_valid, xn_graph)
 from nbcomplex import graphs
-from nbcomplex.seeds import mix64, unit_threshold
+from nbcomplex.seeds import (MASK64, lane_ones, mix64, splitmix64,
+                             splitmix64_lanes, unit_threshold)
 
 
 def small_graphs(max_n=8):
@@ -278,9 +279,16 @@ def reference_gnp(n, p, seed):
                                 if mix64(seed, t) < unit_threshold(p)])
 
 
+# the lane table: splitmix64(t) in bits 128t.. for the 2,016 pairs of 64
+# vertices
+KEY_LANES = sum(splitmix64(t) << 128 * t for t in range(2_016))
+
+# the splitmix64 increment, from the reference generator
+GAMMA = 0x9E3779B97F4A7C15
+
+
 def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
-    monkeypatch.setattr(graphs, "_pair_keys", ())
-    table = 0
+    monkeypatch.setattr(graphs, "_key_lanes", 0)
     for n in (12, 3, 45, 0, 30, 1, 70, 6, 100, 2):
         for p in (0.0, 0.3, 0.5, 1.0):
             for seed in (0, 5, 2**64 + 3):
@@ -289,9 +297,45 @@ def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
                 assert pickle.dumps(g) == pickle.dumps(want)
                 assert repr(g) == repr(want)
                 assert g.masks == want.masks
-        # grows only past its end, and never past the pairs of 64 vertices
-        table = min(max(table, n * (n - 1) // 2), 2_016)
-        assert len(graphs._pair_keys) == table
+        # built whole on first use, and never changed after
+        assert graphs._key_lanes == KEY_LANES
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 70),
+       st.one_of(st.sampled_from([0.0, 1e-19, 0.5, 1 - 1e-16, 1.0]),
+                 st.floats(0.0, 1.0)),
+       st.one_of(st.integers(-2**70, 2**70),
+                 st.sampled_from([-1, 2**64 - 1, 2**64, 2**64 + 1])))
+@example(64, 0.5, -1)
+@example(65, 0.5, 2**64)
+def test_gnp_is_the_reference_on_both_sides_of_the_lane_table(n, p, seed):
+    assert gnp_sample(n, p, seed) == reference_gnp(n, p, seed)
+
+
+def test_splitmix64_is_the_reference_generator():
+    # the reference generator's first three outputs from state 0: it adds
+    # GAMMA to its state and mixes the result
+    assert [splitmix64(0), splitmix64(GAMMA), splitmix64(2 * GAMMA & MASK64)] \
+        == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_lanes_agree_with_the_scalar_mixer_on_edge_values():
+    # 2**64 - GAMMA is where adding GAMMA wraps to 0
+    lanes = [0, MASK64, 2**64 - GAMMA, 1, GAMMA]
+    ones = lane_ones(len(lanes))
+    packed = sum(v << 128 * t for t, v in enumerate(lanes))
+    mixed = splitmix64_lanes(packed, ones)
+    assert [mixed >> 128 * t & (1 << 128) - 1 for t in range(len(lanes))] \
+        == [splitmix64(v) for v in lanes]
+    for h in (0, MASK64, GAMMA):
+        draws = [splitmix64(h ^ v) for v in lanes]
+        for threshold in (0, 1, 2**64 - 1, 2**64, *draws,
+                          *(d + 1 for d in draws)):
+            want = b"".join(b"1" if d < threshold else b"0"
+                            for d in reversed(draws))
+            got = graphs._edge_chars(packed, ones, len(lanes), h, threshold)
+            assert got == want, (h, threshold)
 
 
 def test_gnp_graphs_match_their_golden_digest():
@@ -306,10 +350,10 @@ def test_gnp_graphs_match_their_golden_digest():
 
 
 def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
-    # thread k samples n = k + 2, k + 6, ..., so the table grows in
-    # steps that the four threads race for
+    # thread k samples n = k + 2, k + 6, ..., so the four threads race to
+    # build the lane table with their first calls
     calls = [[(n, 0.5, n) for n in range(k + 2, 90, 4)] for k in range(4)]
-    monkeypatch.setattr(graphs, "_pair_keys", ())
+    monkeypatch.setattr(graphs, "_key_lanes", 0)
     serial = [[gnp_sample(*c) for c in mine] for mine in calls]
     start = threading.Barrier(len(calls))
 
@@ -321,9 +365,10 @@ def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for _ in range(3):
-            monkeypatch.setattr(graphs, "_pair_keys", ())
+            monkeypatch.setattr(graphs, "_key_lanes", 0)
             with ThreadPoolExecutor(len(calls)) as pool:
                 threaded = list(pool.map(sample, calls))
+            assert graphs._key_lanes == KEY_LANES
             assert threaded == serial
             assert [[g.masks for g in mine] for mine in threaded] \
                 == [[g.masks for g in mine] for mine in serial]
@@ -332,8 +377,8 @@ def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
 
 
 def test_gnp_past_the_key_table_holds_one_row_of_keys_at_a_time():
-    # n = 120 has 7,140 pairs, 5,124 of them past the full table; holding
-    # those keys at once would take about 270 KB
+    # n = 120 has 7,140 pairs, 5,124 of them past the full table; the
+    # lanes of all of them at once would take about 114 KB
     gnp_sample(64, 0.5, 0)  # the shared table is full before tracing
     tracemalloc.start()
     try:
@@ -342,7 +387,7 @@ def test_gnp_past_the_key_table_holds_one_row_of_keys_at_a_time():
     finally:
         tracemalloc.stop()
     assert g == reference_gnp(120, 0.001, 0)
-    assert len(graphs._pair_keys) == 2_016
+    assert graphs._key_lanes == KEY_LANES
     assert peak < 32_000
 
 
