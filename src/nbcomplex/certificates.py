@@ -176,17 +176,12 @@ def _first_certificate(adj: Sequence[int],
     clique ``x``; None for a single vertex or a fully obstructed clique."""
     if len(x) < 2:
         return None
-    inside = 0
-    for u in x:
-        inside |= 1 << u
-    commons = None
+    inside, commons = _clique_masks(adj, x)
     for i, u in enumerate(x):
         # u is a common neighbor of x minus u, so a neighbor of u outside
         # x obstructs index i (v = u); only N(u) inside x needs the search
         if adj[u] & ~inside:
             continue
-        if commons is None:
-            commons = _clique_masks(adj, x)[1]
         if _search_obstruction(adj, commons[i], inside) is None:
             return SphereCertificate(x, i, len(x) - 2)
     return None

@@ -16,7 +16,8 @@ element cap closes the family for both ``closed_set_poset`` and
 height, which the latter returns without the cover relation.  The face
 poset itself is never materialized.
 Neighborliness is a minimum hitting set of the non-neighborhoods, found by
-branch-and-bound on the same bitmasks.
+branch-and-bound on the same bitmasks, whose work cap counts the
+non-neighborhoods each node of the search examines.
 
 All of these start from the graph's adjacency bitmasks, and a complex
 keeps its facets and enumerates its faces as bitmasks too.  One helper,
@@ -341,21 +342,10 @@ def neighborliness(g: Graph, work_cap: int = 5_000_000) -> int:
     A vertex set S has no common neighbor exactly when it meets every
     non-neighborhood V - N(w), so the value is h - 1 for h the size of a
     smallest set hitting all of them.  That is found by a branch-and-bound
-    on bitmasks, not by listing subsets.
-
-    ``work_cap`` keeps the contract of a level-by-level scan that checks
-    the i-subsets in lexicographic order, i = 1, 2, ..., one step per
-    subset, and stops at the first subset with no common neighbor: such a
-    scan takes C(n,1) + ... + C(n,h-1) steps, plus the lexicographic rank
-    of the first hitting h-set, plus one.  The value is returned, or the
-    error raised, exactly when that scan would return it or pass
-    ``work_cap``.  The level L at which the scan's count would pass the cap
-    comes from the binomials alone.  Levels below L are settled by the
-    search, bounded to sets of fewer than L vertices.  If none hits, level
-    L is settled by a lexicographic search over L-sets that skips every
-    subtree whose ranks all lie at or past the scan's remaining budget:
-    a hit there returns L - 1, and a miss raises ``ResourceCapError``
-    (``at level L``, ``best = L - 1``) as the scan would.
+    on bitmasks, not by listing subsets.  ``work_cap`` bounds the search's
+    own work: each node is charged the non-neighborhoods it examines, and
+    once the charge passes the cap ``ResourceCapError`` is raised, its
+    ``best`` a value the neighborliness is proved to reach.
     """
     n = g.n
     if n < 1:
@@ -364,23 +354,7 @@ def neighborliness(g: Graph, work_cap: int = 5_000_000) -> int:
     # only the inclusion-minimal non-neighborhoods need hitting: the
     # complements of the facets of N[G], smallest first
     targets = [full & ~m for m in _maximal(g.masks)] or [full]
-
-    # the first level whose subsets would take the scan past work_cap,
-    # n + 1 when the scan always finishes; scanned = C(n,1)+...+C(n,level-1)
-    level, scanned, width = 1, 0, n
-    while level <= n and scanned + width <= work_cap:
-        scanned += width
-        width = width * (n - level) // (level + 1)
-        level += 1
-
-    size = _min_hitting_set(targets, level - 1)
-    if size is not None:
-        return size - 1
-    if _hits_below_rank(n, level, targets, work_cap - scanned):
-        return level - 1
-    raise ResourceCapError(
-        f"neighborliness exceeded work cap {work_cap} at level {level}",
-        best=level - 1)
+    return _min_hitting_set(targets, n, work_cap) - 1
 
 
 def _disjoint_count(masks: Iterable[int], stop: int) -> int:
@@ -396,83 +370,51 @@ def _disjoint_count(masks: Iterable[int], stop: int) -> int:
     return count
 
 
-def _min_hitting_set(targets: list[int], limit: int) -> Optional[int]:
-    """Size of a smallest vertex set meeting every target, or None when
-    every such set has more than ``limit`` vertices.
+def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
+    """Size of a smallest set of vertices 0..n-1 meeting every target, for
+    the non-neighborhoods of ``neighborliness``.
 
     Branches on the vertices of the smallest unmet target, one at a time:
     a set either holds the vertex, or the vertex is struck from every
     target and the next smallest target is taken, so no set is visited
     twice.  Prunes with the count of pairwise disjoint unmet targets.
+    The search runs on a stack, not by recursion, as it may go n deep.
+    Each node visited is charged its unmet targets; once the charge passes
+    ``work_cap``, raises ``ResourceCapError`` with ``best`` the root's
+    disjoint count less one, as no hitting set is smaller than that count.
     """
-    best = limit + 1
-
-    def search(chosen: int, unmet: list[int]) -> None:
-        nonlocal best
-        while True:
-            room = best - 1 - chosen  # vertices a better set may still add
-            if _disjoint_count(unmet, room) > room:
-                return
-            if room == 1:
-                common = -1
-                for m in unmet:
-                    common &= m
-                if common:
-                    best = chosen + 1
-                return
-            bit = unmet[0] & -unmet[0]
-            rest = [m for m in unmet if not m & bit]
-            if not rest:
-                best = chosen + 1
-                return
-            search(chosen + 1, rest)
-            # the sets holding this vertex are done; exclude it
-            unmet = sorted((m & ~bit for m in unmet), key=int.bit_count)
-            if not unmet[0]:
-                return
-
-    search(0, targets)
-    return best if best <= limit else None
-
-
-def _hits_below_rank(n: int, size: int, targets: list[int],
-                     ranks: int) -> bool:
-    """Whether some ``size``-subset of range(n) meeting every target is
-    among the first ``ranks`` subsets in lexicographic order.
-
-    Vertices are picked in ascending order, so the subsets under a node
-    hold consecutive ranks, and a node is left as soon as its first rank
-    reaches ``ranks``.
-    """
-    def search(low: int, need: int, unmet: list[int], first: int) -> bool:
-        # vertices come from low..n-1; first is the rank of the first
-        # subset under this node
-        above = -1 << low
-        if need == 1:
-            common = above
+    best = n + 1
+    used = 0
+    # depth first, the sets holding a vertex before those without it
+    stack = [(0, targets)]
+    while stack:
+        chosen, unmet = stack.pop()
+        used += len(unmet)
+        if used > work_cap:
+            raise ResourceCapError(
+                f"neighborliness exceeded work cap {work_cap}",
+                best=_disjoint_count(targets, n) - 1)
+        room = best - 1 - chosen  # vertices a better set may still add
+        if _disjoint_count(unmet, room) > room:
+            continue
+        if room == 1:
+            common = -1
             for m in unmet:
                 common &= m
-            return bool(common) and \
-                first + (common & -common).bit_length() - 1 - low < ranks
-        unmet = [m & above for m in unmet]
-        top = n - need
-        for m in unmet:
-            if not m:
-                return False
-            top = min(top, m.bit_length() - 1)  # later picks only go up
-        if _disjoint_count(unmet, need) > need:
-            return False
-        for v in range(low, top + 1):
-            if first >= ranks:
-                return False
-            bit = 1 << v
-            if search(v + 1, need - 1, [m for m in unmet if not m & bit],
-                      first):
-                return True
-            first += comb(n - 1 - v, need - 1)
-        return False
-
-    return search(0, size, targets, 0)
+            if common:
+                best = chosen + 1
+            continue
+        bit = unmet[0] & -unmet[0]
+        rest = [m for m in unmet if not m & bit]
+        if not rest:
+            best = chosen + 1
+            continue
+        # the sets without this vertex: strike it from every target
+        unmet = sorted((m & ~bit for m in unmet), key=int.bit_count)
+        if unmet[0]:
+            stack.append((chosen, unmet))
+        stack.append((chosen + 1, rest))
+    return best
 
 
 # ---------------------------------------------------------------------------

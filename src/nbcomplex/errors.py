@@ -14,32 +14,31 @@ from typing import Callable, Optional, TypeVar
 T = TypeVar("T")
 
 
-class ParseError(ValueError):
+class _LineError(ValueError):
+    """A value error at an optional 1-based input line, ``.line``, which
+    prefixes the message as ``line N: ``."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ParseError(_LineError):
     """Input text failed to parse.  Carries a 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class FormatError(ValueError):
+class FormatError(_LineError):
     """Structured record data did not match the expected schema."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ResourceCapError(RuntimeError):
     """A configured work cap was exceeded before the operation finished.
 
-    ``best`` reports the largest fully verified level for staged searches
-    (for example the last neighborliness level that was checked completely),
-    ``partial_count`` reports how far a construction got before the cap hit.
+    ``best`` reports a bound the search had proved before the cap hit (for
+    neighborliness, a value it is known to reach), ``partial_count``
+    reports how far a construction got before the cap hit.
     """
 
     def __init__(self, message: str, *, best: int | None = None,

@@ -46,10 +46,8 @@ class Caps:
     maximal cliques, but a capped trial records the enumerator's message,
     "maximal clique enumeration capped at ...", so that record bytes stay
     the same.
-    ``neighborliness_steps`` still counts the
-    steps of a level-by-level scan of the i-subsets in lexicographic order;
-    ``neighborliness`` no longer takes those steps, but returns or raises
-    exactly where that scan would, so the same trials are capped.
+    ``neighborliness_steps`` caps the work of the neighborliness search:
+    each node it visits is charged the non-neighborhoods it examines.
     """
 
     clique_vertices: int = 64

@@ -256,34 +256,23 @@ def from_family_spec(spec: str) -> Graph:
 # seeded G(n, p)
 
 
+def _ramp(count: int) -> int:
+    """The int whose lane t holds t, for t < ``count``."""
+    return int.from_bytes(b"".join(t.to_bytes(LANE_BITS // 8, "little")
+                                   for t in range(count)), "little")
+
+
 # Pair t = (u, v), u < v in lexicographic order, is lane t of a big int:
-# bits 128t..128t+127 (see seeds.splitmix64_lanes).  _key_lanes holds
+# bits 128t..128t+127 (see seeds.splitmix64_lanes).  _KEY_LANES holds
 # splitmix64(t), the per-pair half of mix64(seed, t) that no seed changes,
-# for the pairs of _TABLE_N vertices.  It is built on first use and only
-# ever rebound, never changed, so threads that race to build it each bind
-# an equal int.
+# for the pairs of _TABLE_N vertices.
 _TABLE_N = 64
 _TABLE_PAIRS = _TABLE_N * (_TABLE_N - 1) // 2
 _TABLE_ONES = lane_ones(_TABLE_PAIRS)
-_key_lanes = 0
+_KEY_LANES = splitmix64_lanes(_ramp(_TABLE_PAIRS), _TABLE_ONES)
 
 # A lane's bit 64 after the threshold add is 0 for an edge, 1 for none.
 _EDGE_CHAR = bytes.maketrans(b"\0\1", b"10")
-
-
-def _ramp(count: int) -> int:
-    """The int whose lane t holds t, for t < ``count``: the closed form of
-    the sum of t * x**t with x = 2**128."""
-    x = 1 << LANE_BITS
-    return (x - count * x**count + (count - 1) * x**(count + 1)) // (x - 1)**2
-
-
-def _key_table() -> int:
-    global _key_lanes
-    keys = _key_lanes
-    if not keys:
-        keys = _key_lanes = splitmix64_lanes(_ramp(_TABLE_PAIRS), _TABLE_ONES)
-    return keys
 
 
 def _edge_chars(keys: int, ones: int, count: int, h: int,
@@ -339,7 +328,7 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     (:func:`~nbcomplex.seeds.splitmix64_lanes`, exact lane by lane), so a
     call runs a fixed number of whole-int operations, not one
     ``splitmix64`` per pair.  The keys ``splitmix64(t)`` of the pairs of
-    64 vertices are hashed once per process into a lane table, and one
+    64 vertices are hashed into a lane table at import, and one
     int add against the threshold decides every pair.  The edges become
     the adjacency bitmasks through one char per pair and ``int(..., 2)``
     on a grid of them and on its transpose.  Above n = 64 the same kernel
@@ -356,7 +345,7 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     if n <= _TABLE_N:
         pairs = n * (n - 1) // 2
         low = (1 << LANE_BITS * pairs) - 1
-        chars = _edge_chars(_key_table() & low, _TABLE_ONES & low, pairs, h,
+        chars = _edge_chars(_KEY_LANES & low, _TABLE_ONES & low, pairs, h,
                             threshold)
         return Graph(n, _symmetric_masks(n, chars))
     masks = [0] * n

@@ -423,7 +423,10 @@ Connectivity = Union[int, AtLeast]
 def homological_connectivity(h: HomologyResult) -> Connectivity:
     """One less than the smallest dimension with nonvanishing homology
     (torsion counts).  Returns an AtLeast sentinel when everything vanishes
-    up to the computed dimension."""
+    up to the computed dimension.  The empty complex gives -2, as its
+    reduced homology in dimension -1 is Z."""
+    if h.empty:
+        return -2
     for k in range(h.max_dim + 1):
         if h.betti[k] != 0 or h.torsion[k]:
             return k - 1

@@ -428,7 +428,9 @@ def test_neighborliness_bound_values():
 def test_neighborliness_bound_cap_carries_partial_result():
     with pytest.raises(ResourceCapError) as err:
         neighborliness_chromatic_bound(complete_graph(12), work_cap=20)
-    assert err.value.best == 2
+    assert str(err.value) == "neighborliness exceeded work cap 20"
+    assert err.value.best == 12 == neighborliness_chromatic_bound(
+        complete_graph(12))
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +505,13 @@ def test_comparisons_csv_layout():
 
 
 def test_comparison_json_and_csv_spell_the_same_record():
-    vanishing = BoundComparison(1, 0, 1, 1, 1, AtLeast(0), None, ())
+    vanishing = BoundComparison(1, 0, 1, 1, 1, -2, None, ())
     capped = BoundComparison(
         65, 64, None, None, 2, -1, None,
         ("chromatic_number", "clique_number", "best_certificate_dim"))
     assert vanishing.to_json_dict() == {
         "n": 1, "edges": 0, "chromatic_number": 1, "clique_number": 1,
-        "neighborliness_bound": 1, "hom_connectivity": ">=0",
+        "neighborliness_bound": 1, "hom_connectivity": -2,
         "best_certificate_dim": None, "missing": []}
     assert capped.to_json_dict() == {
         "n": 65, "edges": 64, "chromatic_number": None,
@@ -520,8 +522,12 @@ def test_comparison_json_and_csv_spell_the_same_record():
     assert comparisons_csv([vanishing, capped]) == (
         "n,edges,chromatic_number,clique_number,neighborliness_bound,"
         "hom_connectivity,best_certificate_dim,missing\n"
-        "1,0,1,1,1,>=0,,\n"
+        "1,0,1,1,1,-2,,\n"
         "65,64,,,2,-1,,chromatic_number;clique_number;best_certificate_dim\n")
-    # the records the library computes for those two cases
+    # a connectivity known only from below keeps its ">=k" spelling
+    assert BoundComparison(2, 1, 2, 2, 2, AtLeast(0), None, ()) \
+        .to_json_dict()["hom_connectivity"] == ">=0"
+    # the records the library computes for those two cases: N[K_1] is
+    # empty, so its connectivity is -2
     assert bound_comparison(complete_graph(1)) == vanishing
     assert bound_comparison(path_graph(65)) == capped

@@ -19,6 +19,7 @@ from nbcomplex import (ClosedSetPoset, Graph, ParseError, ResourceCapError,
                        neighborhood_complex, neighborliness,
                        neighborliness_chromatic_bound, parse_facet_list,
                        path_graph)
+from nbcomplex import complexes
 from nbcomplex.complexes import _maximal, neighborhood_complex_components
 
 from test_graphs import small_graphs
@@ -277,39 +278,61 @@ def test_neighborliness_values():
     assert neighborliness(path_graph(3)) == 1
     assert neighborliness(Graph.from_edges(2, [])) == 0
     assert neighborliness(Graph.from_edges(1, [])) == 0
+    # the search goes 1,100 deep, past the default recursion limit
+    assert neighborliness(complete_graph(1_100)) == 1_099
     with pytest.raises(ValueError):
         neighborliness(Graph.from_edges(0, []))
 
 
 def test_neighborliness_cap_reports_best_level_finished():
+    # K12's twelve non-neighborhoods are disjoint singletons, so the root
+    # proves the value before the search passes its cap
     with pytest.raises(ResourceCapError) as err:
         neighborliness(complete_graph(12), work_cap=20)
-    assert err.value.best == 1
+    assert str(err.value) == "neighborliness exceeded work cap 20"
+    assert err.value.best == 11 == neighborliness(complete_graph(12))
 
 
-def level_scan(g, work_cap=None):
+def level_scan(g):
     """The level-by-level scan that ``neighborliness`` replaced, kept as its
-    oracle: i-subsets in lexicographic order, one step each, until one has
-    no common neighbor.  Returns (value, steps taken)."""
+    value oracle: i-subsets in lexicographic order, one step each, until
+    one has no common neighbor.  Returns (value, steps taken)."""
     adj = [g.neighbors(v) for v in range(g.n)]
     steps = 0
     for i in range(1, g.n + 1):
         for s in itertools.combinations(range(g.n), i):
             steps += 1
-            if work_cap is not None and steps > work_cap:
-                raise ResourceCapError(
-                    f"neighborliness exceeded work cap {work_cap} at level {i}",
-                    best=i - 1)
             if not frozenset.intersection(*(adj[v] for v in s)):
                 return i - 1, steps
     raise AssertionError("the whole vertex set has a common neighbor")
 
 
-def cap_outcome(f, g, work_cap):
+def check_cap_outcome(g, work_cap, value):
+    """The search returns the oracle's value, or raises naming its cap with
+    a ``best`` it has proved, no greater than the value.  True if capped."""
     try:
-        return f(g, work_cap)
+        assert neighborliness(g, work_cap) == value
     except ResourceCapError as err:
-        return str(err), err.best
+        assert str(err) == f"neighborliness exceeded work cap {work_cap}"
+        assert 0 <= err.best <= value
+        return True
+    return False
+
+
+def search_work(g):
+    """The units ``neighborliness`` charges for g: the unmet targets of
+    every node it visits, each node read once by the disjoint count."""
+    charged = []
+
+    def counting(masks, stop):
+        charged.append(len(masks))
+        return count(masks, stop)
+
+    count = complexes._disjoint_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_disjoint_count", counting)
+        neighborliness(g)
+    return sum(charged)
 
 
 def scan_totals(n):
@@ -318,62 +341,59 @@ def scan_totals(n):
 
 
 def test_neighborliness_matches_the_level_scan_on_random_graphs():
-    sides = collections.Counter()
+    outcomes = collections.Counter()
     for k in range(600):
         n = 1 + k % 12
         p = (k * 7919 % 1000) / 999
         g = gnp_sample(n, p, 90_000 + k)
         value, steps = level_scan(g)
-        failing = value + 1
-        totals = scan_totals(n)
-        caps = {-1, 0, steps - 1, steps, steps + 1, 5_000_000,
-                totals[failing - 1] - 1, totals[failing - 1],
-                totals[failing - 1] + 1, totals[failing]}
-        for cap in caps:
-            expected = cap_outcome(lambda h, c: level_scan(h, c)[0], g, cap)
-            assert cap_outcome(neighborliness, g, cap) == expected, (k, cap)
-            capped = sum(1 for t in totals if t <= cap)  # the cap's level
-            sides[(capped > failing) - (capped < failing)] += 1
-    # caps landed below, at and above the failing level
-    assert min(sides[-1], sides[0], sides[1]) > 500
+        work = search_work(g)
+        # the cap is the search's own work: it returns at that cap and
+        # raises one below it
+        assert neighborliness(g, work) == value, k
+        assert check_cap_outcome(g, work - 1, value), k
+        for cap in {-1, 0, work // 2, steps - 1, steps, 5_000_000}:
+            capped = check_cap_outcome(g, cap, value)
+            assert capped == (cap < work), (k, cap)
+            outcomes[capped, cap < steps] += 1
+    # caps below both, below the scan's steps only, and above both
+    assert min(outcomes[True, True], outcomes[False, True],
+               outcomes[False, False]) > 200
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(10).filter(lambda g: g.n >= 1), st.integers(-1, 1100))
 def test_neighborliness_matches_the_level_scan_on_edge_sets(g, cap):
-    expected = cap_outcome(lambda h, c: level_scan(h, c)[0], g, cap)
-    assert cap_outcome(neighborliness, g, cap) == expected
-    assert neighborliness(g, 2 ** g.n) == level_scan(g)[0]
+    value = level_scan(g)[0]
+    check_cap_outcome(g, cap, value)
+    assert neighborliness(g) == value
 
 
 def test_neighborliness_decides_the_capped_level_by_rank():
-    # At n = 60 the default cap falls inside level 5, the first level with
-    # a set of no common neighbor: the level scan's value, 4, must come
-    # from the rank-bounded search over 5-sets.
+    # At n = 60 the level scan passes a cap of C(60,1) + ... + C(60,4)
+    # before it finds the 5-set with no common neighbor; the search
+    # settles the value, 4, within that cap and stops at a smaller one.
     g = gnp_sample(60, 0.7, 1)
     totals = scan_totals(60)
     assert totals[4] <= 5_000_000 < totals[5]
     assert neighborliness(g) == 4
-    with pytest.raises(ResourceCapError) as err:
-        neighborliness(g, work_cap=totals[4])
-    assert str(err.value) == \
-        f"neighborliness exceeded work cap {totals[4]} at level 5"
-    assert err.value.best == 4
+    assert neighborliness(g, work_cap=totals[4]) == 4
+    assert check_cap_outcome(g, 100, 4)
 
 
 def test_neighborliness_cap_past_enumeration_reach():
-    # the level scan needs about 30 s here; this is its cap error verbatim
+    # the level scan needs about 30 s here, the search passes its default
+    # cap in about a second; one non-neighborhood meets all the others,
+    # so the root proves nothing past 0
     g = gnp_sample(100, 0.7, 0)
     with pytest.raises(ResourceCapError) as err:
         neighborliness(g)
-    assert str(err.value) == \
-        "neighborliness exceeded work cap 5000000 at level 5"
-    assert err.value.best == 4
+    assert str(err.value) == "neighborliness exceeded work cap 5000000"
+    assert err.value.best == 0
     with pytest.raises(ResourceCapError) as err:
-        neighborliness_chromatic_bound(g)
-    assert str(err.value) == \
-        "neighborliness exceeded work cap 5000000 at level 5"
-    assert err.value.best == 5
+        neighborliness_chromatic_bound(g, work_cap=100_000)
+    assert str(err.value) == "neighborliness exceeded work cap 100000"
+    assert err.value.best == 1
 
 
 def test_neighborliness_bounds_small_face_counts():

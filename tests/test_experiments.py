@@ -12,12 +12,13 @@ import pytest
 
 from nbcomplex import (certificates, complexes, experiments, graphs,
                        homology)
-from nbcomplex import (Caps, ExperimentConfig, FormatError, SurveySummary,
-                       TrialRecord, aggregate, betti_sweep, clique_number,
-                       closed_set_poset, count_strict_local_maxima,
-                       find_sphere_certificates, gnp_sample, read_records,
-                       records_from_csv, records_from_jsonl, records_to_csv,
-                       records_to_jsonl, run_survey, run_trial, write_records)
+from nbcomplex import (Caps, ExperimentConfig, FormatError, ParseError,
+                       SurveySummary, TrialRecord, aggregate, betti_sweep,
+                       clique_number, closed_set_poset,
+                       count_strict_local_maxima, find_sphere_certificates,
+                       gnp_sample, read_records, records_from_csv,
+                       records_from_jsonl, records_to_csv, records_to_jsonl,
+                       run_survey, run_trial, write_records)
 
 
 def tiny_config(**overrides):
@@ -134,7 +135,7 @@ def test_every_capped_step_of_a_trial_records_its_error_in_order():
               "raise vertex_cap to override")
     assert r.errors == (
         f"clique_number: {clique}",
-        "neighborliness: neighborliness exceeded work cap 3 at level 1",
+        "neighborliness: neighborliness exceeded work cap 3",
         "closed_set_poset: closed-set family exceeded element cap 2",
         "homology: left-out faces exceeded cap 0 in dimension 0",
         f"certificates: {clique}")
@@ -148,7 +149,7 @@ def test_a_neighborliness_cap_leaves_the_other_fields():
                       caps=Caps(neighborliness_steps=3))
     r = run_trial(cfg, 0, 0)
     assert r.errors == (
-        "neighborliness: neighborliness exceeded work cap 3 at level 1",)
+        "neighborliness: neighborliness exceeded work cap 3",)
     assert r.neighborliness is None
     cliques = graphs.maximal_cliques(gnp_sample(7, 0.9, r.seed))
     assert r.clique_number == max(map(len, cliques))
@@ -437,6 +438,15 @@ def test_jsonl_reports_lines_that_are_not_records(text, line, message):
         records_from_jsonl(text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_and_format_errors_share_the_line_prefix_but_stay_distinct():
+    for cls, other in ((ParseError, FormatError), (FormatError, ParseError)):
+        at_line, bare = cls("bad", 3), cls("bad")
+        assert isinstance(at_line, ValueError)
+        assert not isinstance(at_line, other)
+        assert (str(at_line), at_line.line) == ("line 3: bad", 3)
+        assert (str(bare), bare.line) == ("bad", None)
 
 
 def test_jsonl_wall_time_never_serialized():

@@ -287,8 +287,7 @@ KEY_LANES = sum(splitmix64(t) << 128 * t for t in range(2_016))
 GAMMA = 0x9E3779B97F4A7C15
 
 
-def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
-    monkeypatch.setattr(graphs, "_key_lanes", 0)
+def test_gnp_matches_the_reference_while_its_key_table_grows():
     for n in (12, 3, 45, 0, 30, 1, 70, 6, 100, 2):
         for p in (0.0, 0.3, 0.5, 1.0):
             for seed in (0, 5, 2**64 + 3):
@@ -297,8 +296,8 @@ def test_gnp_matches_the_reference_while_its_key_table_grows(monkeypatch):
                 assert pickle.dumps(g) == pickle.dumps(want)
                 assert repr(g) == repr(want)
                 assert g.masks == want.masks
-        # built whole on first use, and never changed after
-        assert graphs._key_lanes == KEY_LANES
+        # built whole at import, and never changed after
+        assert graphs._KEY_LANES == KEY_LANES
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,11 +348,10 @@ def test_gnp_graphs_match_their_golden_digest():
         "3537b240c86c5b25b65e03ff2f89293e4262141241cc3d49587ae9d9914c2a09")
 
 
-def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
-    # thread k samples n = k + 2, k + 6, ..., so the four threads race to
-    # build the lane table with their first calls
+def test_gnp_key_table_is_safe_to_grow_from_threads():
+    # thread k samples n = k + 2, k + 6, ..., so the four threads read the
+    # shared lane table at once, on both sides of its 64 vertices
     calls = [[(n, 0.5, n) for n in range(k + 2, 90, 4)] for k in range(4)]
-    monkeypatch.setattr(graphs, "_key_lanes", 0)
     serial = [[gnp_sample(*c) for c in mine] for mine in calls]
     start = threading.Barrier(len(calls))
 
@@ -365,10 +363,9 @@ def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for _ in range(3):
-            monkeypatch.setattr(graphs, "_key_lanes", 0)
             with ThreadPoolExecutor(len(calls)) as pool:
                 threaded = list(pool.map(sample, calls))
-            assert graphs._key_lanes == KEY_LANES
+            assert graphs._KEY_LANES == KEY_LANES
             assert threaded == serial
             assert [[g.masks for g in mine] for mine in threaded] \
                 == [[g.masks for g in mine] for mine in serial]
@@ -379,7 +376,6 @@ def test_gnp_key_table_is_safe_to_grow_from_threads(monkeypatch):
 def test_gnp_past_the_key_table_holds_one_row_of_keys_at_a_time():
     # n = 120 has 7,140 pairs, 5,124 of them past the full table; the
     # lanes of all of them at once would take about 114 KB
-    gnp_sample(64, 0.5, 0)  # the shared table is full before tracing
     tracemalloc.start()
     try:
         g = gnp_sample(120, 0.001, 0)
@@ -387,7 +383,7 @@ def test_gnp_past_the_key_table_holds_one_row_of_keys_at_a_time():
     finally:
         tracemalloc.stop()
     assert g == reference_gnp(120, 0.001, 0)
-    assert graphs._key_lanes == KEY_LANES
+    assert graphs._KEY_LANES == KEY_LANES
     assert peak < 32_000
 
 

@@ -498,7 +498,16 @@ def test_connectivity_sentinel_when_everything_vanishes():
 def test_empty_complex_connectivity():
     r, _ = graph_homology(Graph.from_edges(3, []))
     assert r.empty
-    assert homological_connectivity(r) == AtLeast(0)
+    # H~_{-1} of the empty complex is Z, so Lovasz's chi >= conn + 3 gives
+    # 1 for an edgeless graph
+    assert homological_connectivity(r) == -2
+    # a point, two points and a 2-sphere
+    for facets, conn in (([(0,)], AtLeast(0)), ([(0,), (1,)], -1),
+                         (list(itertools.combinations(range(4), 3)), 1)):
+        c = SimplicialComplex.from_faces(4, facets)
+        r = homology_integer(boundary_matrices(c))
+        assert not r.empty
+        assert homological_connectivity(r) == conn
 
 
 # ---------------------------------------------------------------------------
