@@ -16,19 +16,19 @@ element cap closes the family for both ``closed_set_poset`` and
 height, which the latter returns without the cover relation.  The face
 poset itself is never materialized.
 Neighborliness is a minimum hitting set of the non-neighborhoods, found by
-branch-and-bound on the same bitmasks, whose work cap counts the
-non-neighborhoods each node of the search examines.
+branch-and-bound on the same bitmasks that settles its last two vertices
+in closed form; its work cap counts the non-neighborhoods the search reads.
 
 All of these start from the graph's adjacency bitmasks, and a complex
 keeps its facets and enumerates its faces as bitmasks too.  One helper,
 ``_maximal``, keeps the inclusion-maximal sets wherever facets, strong-core
-facets, hitting-set targets or lower covers are needed.
+facets or lower covers are needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, filterfalse, groupby
+from itertools import accumulate, combinations, filterfalse, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -342,18 +342,21 @@ def neighborliness(g: Graph, work_cap: int = 5_000_000) -> int:
     A vertex set S has no common neighbor exactly when it meets every
     non-neighborhood V - N(w), so the value is h - 1 for h the size of a
     smallest set hitting all of them.  That is found by a branch-and-bound
-    on bitmasks, not by listing subsets.  ``work_cap`` bounds the search's
-    own work: each node is charged the non-neighborhoods it examines, and
-    once the charge passes the cap ``ResourceCapError`` is raised, its
-    ``best`` a value the neighborliness is proved to reach.
+    on bitmasks, not by listing subsets (see ``_min_hitting_set``).
+    ``work_cap`` bounds the search's own work, counted in non-neighborhoods
+    read; once the charge passes the cap ``ResourceCapError`` is raised,
+    its ``best`` a value the neighborliness is proved to reach, from two
+    lower bounds on h: the count of pairwise disjoint non-neighborhoods,
+    and the fewest vertices whose counts of non-neighborhoods hit could
+    add up to all of them.
     """
     n = g.n
     if n < 1:
         raise ValueError("neighborliness needs at least one vertex")
     full = (1 << n) - 1
-    # only the inclusion-minimal non-neighborhoods need hitting: the
-    # complements of the facets of N[G], smallest first
-    targets = [full & ~m for m in _maximal(g.masks)] or [full]
+    # a set meets every non-neighborhood exactly when it meets the minimal
+    # ones, so the distinct ones are hit as they are, smallest first
+    targets = sorted({full & ~m for m in g.masks}, key=int.bit_count)
     return _min_hitting_set(targets, n, work_cap) - 1
 
 
@@ -370,6 +373,28 @@ def _disjoint_count(masks: Iterable[int], stop: int) -> int:
     return count
 
 
+def _meet(masks: list[int], bit: int) -> tuple[int, int]:
+    """The vertices shared by every mask that misses ``bit`` (by all masks
+    when ``bit`` is 0), -1 when none misses it, and the number of masks
+    read: the pass stops at the first mask that leaves none shared."""
+    common = -1
+    for read, m in enumerate(masks, 1):
+        if not m & bit:
+            common &= m
+            if not common:
+                return 0, read
+    return common, len(masks)
+
+
+def _counting_bound(targets: list[int], n: int) -> int:
+    """The fewest k vertices whose k largest counts of targets hit add up to
+    at least the number of targets, a lower bound on any hitting set."""
+    hits = sorted((sum(m >> v & 1 for m in targets) for v in range(n)),
+                  reverse=True)
+    return next(k for k, covered in enumerate(accumulate(hits), 1)
+                if covered >= len(targets))
+
+
 def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
     """Size of a smallest set of vertices 0..n-1 meeting every target, for
     the non-neighborhoods of ``neighborliness``.
@@ -377,11 +402,19 @@ def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
     Branches on the vertices of the smallest unmet target, one at a time:
     a set either holds the vertex, or the vertex is struck from every
     target and the next smallest target is taken, so no set is visited
-    twice.  Prunes with the count of pairwise disjoint unmet targets.
-    The search runs on a stack, not by recursion, as it may go n deep.
-    Each node visited is charged its unmet targets; once the charge passes
-    ``work_cap``, raises ``ResourceCapError`` with ``best`` the root's
-    disjoint count less one, as no hitting set is smaller than that count.
+    twice.  Prunes with the count of pairwise disjoint unmet targets.  A
+    node where a better set may add at most two vertices is settled in
+    closed form, without branching: a single vertex must lie in every
+    unmet target, and a pair holds a vertex a of the smallest one and a
+    vertex lying in every target that misses a.  The search runs on a
+    stack, not by recursion, as it may go n deep.
+
+    Each node visited is charged its unmet targets, and each closed-form
+    probe the targets it reads.  The cap is checked after every charge,
+    so no node runs past it.  Once the charge passes ``work_cap``, raises
+    ``ResourceCapError`` with ``best`` one less than the larger of two
+    bounds at the root, which no hitting set is smaller than: the disjoint
+    count and ``_counting_bound``.  They are computed only then.
     """
     best = n + 1
     used = 0
@@ -391,18 +424,25 @@ def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
         chosen, unmet = stack.pop()
         used += len(unmet)
         if used > work_cap:
-            raise ResourceCapError(
-                f"neighborliness exceeded work cap {work_cap}",
-                best=_disjoint_count(targets, n) - 1)
+            raise _hitting_cap(targets, n, work_cap)
         room = best - 1 - chosen  # vertices a better set may still add
-        if _disjoint_count(unmet, room) > room:
+        lower = _disjoint_count(unmet, room)
+        if lower > room:
             continue
-        if room == 1:
-            common = -1
-            for m in unmet:
-                common &= m
-            if common:
-                best = chosen + 1
+        if room <= 2:
+            # one vertex in every unmet target (probe 0), or a pair: a
+            # vertex of the smallest and one in every target missing it
+            probes = [0] if lower == 1 else []
+            if room == 2:
+                probes += [1 << v for v in _bits(unmet[0])]
+            for bit in probes:
+                common, read = _meet(unmet, bit)
+                used += read
+                if used > work_cap:
+                    raise _hitting_cap(targets, n, work_cap)
+                if common:
+                    best = chosen + (2 if bit else 1)
+                    break
             continue
         bit = unmet[0] & -unmet[0]
         rest = [m for m in unmet if not m & bit]
@@ -415,6 +455,13 @@ def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
             stack.append((chosen, unmet))
         stack.append((chosen + 1, rest))
     return best
+
+
+def _hitting_cap(targets: list[int], n: int,
+                 work_cap: int) -> ResourceCapError:
+    bound = max(_disjoint_count(targets, n), _counting_bound(targets, n))
+    return ResourceCapError(f"neighborliness exceeded work cap {work_cap}",
+                            best=bound - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ class Caps:
     "maximal clique enumeration capped at ...", so that record bytes stay
     the same.
     ``neighborliness_steps`` caps the work of the neighborliness search:
-    each node it visits is charged the non-neighborhoods it examines.
+    each node it visits is charged the non-neighborhoods it examines, and
+    each closed-form probe the ones it reads.
     """
 
     clique_vertices: int = 64
@@ -154,7 +155,7 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
 
     # N[G] itself is built only by graph_homology
     connected = neighborhood_complex_components(g) <= 1
-    empty = g.edge_count == 0
+    edges = g.edge_count
 
     omega = nbl = closed = hom = certs = None
     if cfg.clique_stats:
@@ -186,8 +187,8 @@ def run_trial(cfg: ExperimentConfig, p_index: int,
 
     return TrialRecord(
         trial_index=trial_index, p_index=p_index, p=p, seed=seed,
-        edge_count=g.edge_count, complex_connected=connected,
-        empty_complex=empty, clique_number=omega, neighborliness=nbl,
+        edge_count=edges, complex_connected=connected,
+        empty_complex=edges == 0, clique_number=omega, neighborliness=nbl,
         closed_set_count=closed_count, retract_dimension=retract_dim,
         homology_source=source, betti=betti, torsion_seen=torsion_seen,
         certificates=certs,
