@@ -27,6 +27,7 @@ facets or lower covers are needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations, filterfalse, groupby
 from math import comb
@@ -355,28 +356,33 @@ def neighborliness(g: Graph, work_cap: int = 5_000_000) -> int:
         raise ValueError("neighborliness needs at least one vertex")
     full = (1 << n) - 1
     # a set meets every non-neighborhood exactly when it meets the minimal
-    # ones, so the distinct ones are hit as they are, smallest first
-    targets = sorted({full & ~m for m in g.masks}, key=int.bit_count)
+    # ones, so the distinct ones are hit as they are, smallest first, less
+    # those holding the smallest, which a set meeting it meets too
+    first, *rest = sorted({full & ~m for m in g.masks}, key=int.bit_count)
+    targets = [first, *(m for m in rest if first & ~m)]
     return _min_hitting_set(targets, n, work_cap) - 1
 
 
-def _disjoint_count(masks: Iterable[int], stop: int) -> int:
+def _disjoint_count(masks: Iterable[int], stop: int) -> tuple[int, int]:
     """Greedy count of pairwise disjoint masks, a lower bound on the size of
-    any set hitting them all; counting stops once it passes ``stop``."""
+    any set hitting them all, and the vertices every mask holds, in one
+    pass that stops once the count passes ``stop``."""
     used = count = 0
+    common = -1
     for m in masks:
+        common &= m
         if not m & used:
             used |= m
             count += 1
             if count > stop:
                 break
-    return count
+    return count, common
 
 
 def _meet(masks: list[int], bit: int) -> tuple[int, int]:
-    """The vertices shared by every mask that misses ``bit`` (by all masks
-    when ``bit`` is 0), -1 when none misses it, and the number of masks
-    read: the pass stops at the first mask that leaves none shared."""
+    """The vertices shared by every mask that misses ``bit``, and the
+    number of masks read: the pass stops at the first mask that leaves none
+    shared."""
     common = -1
     for read, m in enumerate(masks, 1):
         if not m & bit:
@@ -386,10 +392,10 @@ def _meet(masks: list[int], bit: int) -> tuple[int, int]:
     return common, len(masks)
 
 
-def _counting_bound(targets: list[int], n: int) -> int:
+def _counting_bound(targets: list[int]) -> int:
     """The fewest k vertices whose k largest counts of targets hit add up to
     at least the number of targets, a lower bound on any hitting set."""
-    hits = sorted((sum(m >> v & 1 for m in targets) for v in range(n)),
+    hits = sorted(Counter(v for m in targets for v in _bits(m)).values(),
                   reverse=True)
     return next(k for k, covered in enumerate(accumulate(hits), 1)
                 if covered >= len(targets))
@@ -402,15 +408,16 @@ def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
     Branches on the vertices of the smallest unmet target, one at a time:
     a set either holds the vertex, or the vertex is struck from every
     target and the next smallest target is taken, so no set is visited
-    twice.  Prunes with the count of pairwise disjoint unmet targets.  A
-    node where a better set may add at most two vertices is settled in
-    closed form, without branching: a single vertex must lie in every
-    unmet target, and a pair holds a vertex a of the smallest one and a
-    vertex lying in every target that misses a.  The search runs on a
-    stack, not by recursion, as it may go n deep.
+    twice.  Prunes with the count of pairwise disjoint unmet targets.  The
+    pass that counts them also finds the vertices they all hold, so a node
+    one vertex settles ends there, and a node where a better set may add
+    at most two vertices is settled in closed form, without branching: a
+    pair holds a vertex a of the smallest unmet target and a vertex lying
+    in every target that misses a.  The search runs on a stack, not by
+    recursion, as it may go n deep.
 
-    Each node visited is charged its unmet targets, and each closed-form
-    probe the targets it reads.  The cap is checked after every charge,
+    Each node visited is charged its unmet targets, and each pair probe
+    the targets it reads.  The cap is checked after every charge,
     so no node runs past it.  Once the charge passes ``work_cap``, raises
     ``ResourceCapError`` with ``best`` one less than the larger of two
     bounds at the root, which no hitting set is smaller than: the disjoint
@@ -426,29 +433,27 @@ def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
         if used > work_cap:
             raise _hitting_cap(targets, n, work_cap)
         room = best - 1 - chosen  # vertices a better set may still add
-        lower = _disjoint_count(unmet, room)
+        lower, common = _disjoint_count(unmet, room)
         if lower > room:
             continue
-        if room <= 2:
-            # one vertex in every unmet target (probe 0), or a pair: a
-            # vertex of the smallest and one in every target missing it
-            probes = [0] if lower == 1 else []
-            if room == 2:
-                probes += [1 << v for v in _bits(unmet[0])]
-            for bit in probes:
-                common, read = _meet(unmet, bit)
+        if common:  # one vertex meets every unmet target
+            best = chosen + 1
+            continue
+        if room == 2:
+            # a pair holds a vertex of the smallest target and one shared
+            # by every target missing it
+            for v in _bits(unmet[0]):
+                common, read = _meet(unmet, 1 << v)
                 used += read
                 if used > work_cap:
                     raise _hitting_cap(targets, n, work_cap)
                 if common:
-                    best = chosen + (2 if bit else 1)
+                    best = chosen + 2
                     break
+        if room <= 2:
             continue
         bit = unmet[0] & -unmet[0]
         rest = [m for m in unmet if not m & bit]
-        if not rest:
-            best = chosen + 1
-            continue
         # the sets without this vertex: strike it from every target
         unmet = sorted((m & ~bit for m in unmet), key=int.bit_count)
         if unmet[0]:
@@ -459,7 +464,7 @@ def _min_hitting_set(targets: list[int], n: int, work_cap: int) -> int:
 
 def _hitting_cap(targets: list[int], n: int,
                  work_cap: int) -> ResourceCapError:
-    bound = max(_disjoint_count(targets, n), _counting_bound(targets, n))
+    bound = max(_disjoint_count(targets, n)[0], _counting_bound(targets))
     return ResourceCapError(f"neighborliness exceeded work cap {work_cap}",
                             best=bound - 1)
 
