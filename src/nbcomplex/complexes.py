@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, filterfalse, groupby
-from math import comb
+from itertools import accumulate, groupby
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, ResourceCapError
@@ -98,56 +97,62 @@ class SimplicialComplex:
                     exclude: Sequence[int] = ()
                     ) -> tuple[tuple[int, ...], ...]:
         """Faces of each dimension 0..top as bitmasks, one ascending (colex)
-        tuple per dimension.
+        tuple per dimension, without those inside any mask of ``exclude``.
 
-        This is the one place faces are enumerated: the k-faces of a facet
-        are the sums of its (k+1)-subsets of powers of two.  Faces inside
-        any mask of ``exclude`` are left out.  A facet inside one gives
-        nothing; a face of any other facet F lies inside a mask G exactly
-        when it lies inside F & G, so the left-out faces of each dimension
-        are those of the maximal such intersections, listed once and taken
-        from each facet's faces.  With ``cap`` set, raises
-        ``ResourceCapError`` as soon as the running total of kept faces
-        over all dimensions, or the number of faces of one dimension listed
-        to be left out, passes it, so an oversized complex is abandoned
-        early even when nearly all of it is left out.
+        This is the one place faces are enumerated: one depth-first walk,
+        in lexicographic order, over the vertices of the kept facets (those
+        inside no excluded mask), each carrying a bitset of the kept facets
+        and one of the excluded masks that hold it (Zaki's Eclat).  A face
+        grows by each later vertex that a kept facet holding it also holds,
+        so each face of a kept facet is visited once, and is kept when no
+        excluded mask holds it.  With ``cap`` set, raises
+        ``ResourceCapError`` at the face that takes the kept faces over all
+        dimensions, or the left-out faces of its dimension, past the cap,
+        so a complex nearly all left out is still abandoned early.
         """
-        kept = []
-        meets = []
-        for m in self.masks:
-            inside = [m & g for g in exclude]
-            if m not in inside:  # else m lies inside an excluded mask
-                kept.append([1 << v for v in _bits(m)])
-                meets += inside
-        meets = [[1 << v for v in _bits(w)] for w in _maximal(meets)]
-        out = []
+        kept = [m for m in self.masks if not any(m & g == m for g in exclude)]
+        holds: dict[int, list[int]] = {}  # vertex -> [facets, masks] bitsets
+        for i, m in enumerate(kept):
+            for v in _bits(m):
+                holds.setdefault(v, [0, 0])[0] |= 1 << i
+        for j, g in enumerate(exclude):
+            for v in _bits(g):
+                if v in holds:
+                    holds[v][1] |= 1 << j
+        layers: list[list[int]] = [[] for _ in range(top + 1)]
+        left_out = [0] * (top + 1)
         total = 0
-        # no kept facet has a face of dimension width or above
-        width = max(map(len, kept), default=0)
-        for k in range(min(top + 1, width)):
-            left_out: set[int] = set()
-            for bits in meets:
-                if len(bits) > k:
-                    # one intersection's faces are distinct, so more than
-                    # cap of them pass the cap before they are listed
-                    if cap is not None and comb(len(bits), k + 1) > cap:
-                        raise _left_out_cap(cap, k, comb(len(bits), k + 1))
-                    left_out.update(map(sum, combinations(bits, k + 1)))
-                    if cap is not None and len(left_out) > cap:
-                        raise _left_out_cap(cap, k, len(left_out))
-            layer: set[int] = set()
-            for bits in kept:
-                if len(bits) > k:
-                    faces = map(sum, combinations(bits, k + 1))
-                    layer.update(filterfalse(left_out.__contains__, faces))
-                    if cap is not None and total + len(layer) > cap:
-                        raise ResourceCapError(
-                            f"face enumeration exceeded cap {cap} in "
-                            f"dimension {k}",
-                            partial_count=total + len(layer))
-            total += len(layer)
-            out.append(tuple(sorted(layer)))
-        return tuple(out) + ((),) * (top + 1 - len(out))
+        # an entry holds the faces grown from ``base`` by the items of
+        # ``grown`` from ``start`` on: a vertex bit, and the kept facets and
+        # excluded masks holding base plus that vertex
+        roots = [(1 << v, f, e) for v, (f, e) in sorted(holds.items())]
+        stack = [(0, 0, roots, 0)] if top >= 0 else []
+        while stack:
+            base, k, grown, start = stack.pop()
+            # only items before the last, below dimension top, can grow
+            last = len(grown) - 1 if k < top else 0
+            for i in range(start, len(grown)):
+                bit, facets, masks = grown[i]
+                face = base | bit
+                if masks:
+                    left_out[k] += 1
+                    what, count = "left-out faces", left_out[k]
+                else:
+                    layers[k].append(face)
+                    total += 1
+                    what, count = "face enumeration", total
+                if cap is not None and count > cap:
+                    raise ResourceCapError(
+                        f"{what} exceeded cap {cap} in dimension {k}",
+                        partial_count=count)
+                if i < last:
+                    later = [(b, facets & f, masks & e)
+                             for b, f, e in grown[i + 1:] if facets & f]
+                    if later:  # walk the faces through this one first
+                        stack.append((base, k, grown, i + 1))
+                        stack.append((face, k + 1, later, 0))
+                        break
+        return tuple(tuple(sorted(layer)) for layer in layers)
 
     def k_faces(self, k: int) -> list[tuple[int, ...]]:
         """All faces of dimension k (size k+1) as vertex tuples, sorted."""
@@ -200,12 +205,6 @@ class SimplicialComplex:
     def component_count(self) -> int:
         """Connected components of the underlying 1-skeleton."""
         return _components(self.masks)
-
-
-def _left_out_cap(cap: int, k: int, count: int) -> ResourceCapError:
-    return ResourceCapError(
-        f"left-out faces exceeded cap {cap} in dimension {k}",
-        partial_count=count)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

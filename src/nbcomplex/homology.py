@@ -251,19 +251,19 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
     therefore acyclic; the long exact sequence of the pair then gives
     H~_k(core) = H_k(core, st v) for every k, over Z, torsion included.
     The cells are the core's faces outside st v, that is the faces of core
-    facets missing v that lie in no core facet through v, enumerated by
-    ``SimplicialComplex.faces_up_to`` with those facets excluded.  The
-    answer is exact whichever vertex is chosen; the rule only aims at the
-    largest star, which leaves the fewest cells.
+    facets missing v that lie in no core facet through v, listed by the
+    face walk of ``SimplicialComplex.faces_up_to`` with those facets
+    excluded.  The answer is exact whichever vertex is chosen; the rule
+    only aims at the largest star, which leaves the fewest cells.
 
     Dimensions 0..max_dim are covered (all of c's when max_dim is None),
     those above the core's dimension with empty layers, and
     ``complex_dim`` is c's own, so ``truncated`` means max_dim < dim c.
-    ``face_cap`` caps the total number of cells of dimensions
-    0..max_dim+1, and in each of those dimensions the number of star
-    faces listed to leave them out, so a dense core that lies almost
-    wholly in the star is still abandoned early.  The empty complex has
-    no core vertex and gives empty layers with ``relative_to`` None.
+    ``face_cap`` caps the faces that walk visits: the cells of dimensions
+    0..max_dim+1 in total, and in each of those dimensions the star faces
+    it passes, so a dense core lying almost wholly in the star is still
+    abandoned early.  The empty complex has no core vertex and gives
+    empty layers with ``relative_to`` None.
     """
     if max_dim is None:
         max_dim = max(c.dimension, 0)
@@ -441,8 +441,8 @@ def graph_homology(g, max_dim: Optional[int] = None,
     N[G] is reduced to ``strong_core()``, and the chains are those of the
     pair (core, st v) from :func:`boundary_matrices`, whose homology is the
     reduced homology of N[G]; ``face_cap`` caps their cells through
-    dimension max_dim+1, and the star faces listed in each dimension to
-    leave them out.  With max_dim=None the answer covers every dimension
+    dimension max_dim+1, and the star faces the face walk visits in each
+    dimension.  With max_dim=None the answer covers every dimension
     of N[G]; ``truncated`` says whether max_dim lies below that dimension.
     Returns the result and the route, which is always "direct" (the
     complex itself, not the closed-set retract).

@@ -680,7 +680,7 @@ facet_lists = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
 
 @settings(max_examples=100, deadline=None)
 @given(facet_lists, st.lists(st.integers(1, 255), max_size=4),
-       st.integers(0, 4))
+       st.integers(-1, 4))
 def test_face_enumeration_leaves_out_the_faces_inside_excluded_masks(
         facets, exclude, top):
     c = SimplicialComplex.from_faces(8, facets)
@@ -689,7 +689,7 @@ def test_face_enumeration_leaves_out_the_faces_inside_excluded_masks(
             for layer in c.faces_up_to(top)]
     assert list(got) == want
     # the cap counts the kept faces over all dimensions, and in each
-    # dimension the faces of kept facets it lists to leave out
+    # dimension the faces of kept facets it visits inside an excluded mask
     kept = [f for f in c.masks if not any(f & g == f for g in exclude)]
     listed = [sum(1 for f in layer
                   if any(f & g == f for g in exclude)
@@ -698,8 +698,28 @@ def test_face_enumeration_leaves_out_the_faces_inside_excluded_masks(
     cap = max([sum(map(len, want))] + listed)
     assert c.faces_up_to(top, cap=cap, exclude=exclude) == got
     if cap:
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as err:
             c.faces_up_to(top, cap=cap - 1, exclude=exclude)
+        # the walk stops at the face that passes the cap
+        assert err.value.partial_count == cap
+
+
+def test_face_enumeration_walks_only_the_vertices_that_appear():
+    # labels 0, 1 and 10**6 against their relabelled copy 0, 1, 2: the
+    # walk runs over the three vertices, not over the ground set
+    far = 10 ** 6
+    c = SimplicialComplex.from_faces(far + 1, [(0, far), (1, far)])
+    small = SimplicialComplex.from_faces(3, [(0, 2), (1, 2)])
+
+    def relabel(m):
+        return m & 0b11 | (m >> 2) << far
+
+    for exclude in ((), (0b101,), (0b011, 0b110)):
+        want = tuple(tuple(sorted(map(relabel, layer)))
+                     for layer in small.faces_up_to(2, exclude=exclude))
+        assert c.faces_up_to(2, exclude=tuple(map(relabel, exclude))) == want
+    hub = 1 << far
+    assert c.faces_up_to(1) == ((1, 2, hub), (hub | 1, hub | 2))
 
 
 @settings(max_examples=80)

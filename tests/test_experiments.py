@@ -547,8 +547,9 @@ GOLDEN = {
         "44274c9c3b76a3016a6d715d0f380309b2b367b891bbd10d80e0ad6748c479dd",
         "b93501c8c50ba3bb218cc3877bbc94b24bb19073f5957138ef9b9b37c892af42"),
     # the face cap counts the cells outside one vertex star, and the star's
-    # faces listed in each dimension: at 300 every trial here finishes, at
-    # 60 ten of the twenty are capped
+    # faces the walk visits in each dimension: at 300 every trial here
+    # finishes, at 60 ten of the twenty are capped, each record naming the
+    # dimension of the face that passed the cap
     "facecap_n14": (
         ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
                          max_dim=2, clique_stats=True,
@@ -559,8 +560,8 @@ GOLDEN = {
         ExperimentConfig(n=14, p_grid=(.4, .6), trials=10, master_seed=9,
                          max_dim=2, clique_stats=True,
                          caps=Caps(faces_per_dim=60)),
-        "0e90d5e91abb29862a44723db95629e2657137bea442c81b13a499ba694271be",
-        "685dcf08d2fd76c98b310ee6543739912bbfa6b9694a444626556e5cfd1c987a"),
+        "ce9f4bfe80c3baad7a2ad212f38bb02147f4d74272fc1dba4a76323753d0887b",
+        "efafd3eee48ea9bf7d3496b40531ac2fbf4d65b8595fc6baecc8284d412ab461"),
     # trimmed copies of the benchmark's survey configs, and a clique-capped
     # survey, taken while trials still enumerated the maximal cliques
     "features_n30": (

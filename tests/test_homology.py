@@ -394,7 +394,7 @@ def test_boundary_composition_vanishes(g):
 
 def test_boundary_face_cap():
     # the cap counts the cells outside the star, and the star's faces
-    # listed in each dimension: N[K_8] has one cell, {1, ..., 7}, and the
+    # visited in each dimension: N[K_8] has one cell, {1, ..., 7}, and the
     # star of vertex 0 meets it in the faces of 7 vertices, 35 of the most
     # in one dimension
     c = neighborhood_complex(complete_graph(8))
@@ -605,7 +605,7 @@ def test_graph_homology_enumerates_faces_once_on_the_core(monkeypatch):
 def test_face_cap_exhausts_every_route():
     # N[K_10] has no dominated vertex, so its core is all 1,022 faces; the
     # only one outside the star of vertex 0 is the facet {1, ..., 9}, and
-    # listing the star's faces inside it takes C(9, 4) = 126 in dimension 3
+    # the star's faces inside it number C(9, 4) = 126 in dimension 3
     with pytest.raises(ResourceCapError):
         graph_homology(complete_graph(10), face_cap=125)
     r, _ = graph_homology(complete_graph(10), face_cap=126)
@@ -613,13 +613,23 @@ def test_face_cap_exhausts_every_route():
 
 
 def test_face_cap_stops_a_dense_core_inside_the_star():
-    # N[K_20] leaves one cell outside the star, but the star's faces inside
-    # it number C(19, k+1) in dimension k, so listing them passes the cap
-    # in dimension 5 (27,132 > 20,000) before any larger layer is built
+    # N[K_20] leaves one cell, {1, ..., 19}, outside the star of vertex 0,
+    # and every other subset of it lies in the star.  The walk visits them
+    # in lexicographic order: the 10-faces through 1, 2, 3 number
+    # C(16, 8) = 12,870, those through 1, 2, 4 add C(15, 8) = 6,435, no
+    # dimension has passed 20,000 by then, and the faces through 1, 2, 5
+    # pass it in dimension 10 first
     with pytest.raises(ResourceCapError) as err:
         graph_homology(complete_graph(20), face_cap=20_000)
     assert str(err.value) == \
-        "left-out faces exceeded cap 20000 in dimension 5"
+        "left-out faces exceeded cap 20000 in dimension 10"
+    assert err.value.partial_count == 20_001
+
+
+def test_face_cap_stops_the_walk_at_the_face_that_passes_it():
+    with pytest.raises(ResourceCapError) as err:
+        graph_homology(gnp_sample(60, 0.9, 1), max_dim=4, face_cap=20_000)
+    assert err.value.partial_count == 20_001
 
 
 def test_face_cap_counts_the_core_faces():
