@@ -94,47 +94,49 @@ class SimplicialComplex:
         return any(m & f == m for f in self.masks)
 
     def faces_up_to(self, top: int, cap: Optional[int] = None,
-                    exclude: Sequence[int] = ()
+                    apex: Optional[int] = None
                     ) -> tuple[tuple[int, ...], ...]:
         """Faces of each dimension 0..top as bitmasks, one ascending (colex)
-        tuple per dimension, without those inside any mask of ``exclude``.
+        tuple per dimension, without those in the closed star of ``apex``,
+        that is those a facet through ``apex`` holds (None keeps them all).
 
         This is the one place faces are enumerated: one depth-first walk,
-        in lexicographic order, over the vertices of the kept facets (those
-        inside no excluded mask), each carrying a bitset of the kept facets
-        and one of the excluded masks that hold it (Zaki's Eclat).  A face
-        grows by each later vertex that a kept facet holding it also holds,
-        so each face of a kept facet is visited once, and is kept when no
-        excluded mask holds it.  With ``cap`` set, raises
-        ``ResourceCapError`` at the face that takes the kept faces over all
-        dimensions, or the left-out faces of its dimension, past the cap,
-        so a complex nearly all left out is still abandoned early.
+        in lexicographic order, over the vertices of the facets that miss
+        the apex, each carrying one bitset of the facets that hold it
+        (Zaki's Eclat).  A face grows by each later vertex that a facet
+        missing the apex and holding the face also holds, so each face
+        outside the apex is visited once, and is kept when no facet through
+        the apex holds it.  With ``cap`` set, raises ``ResourceCapError`` at
+        the face that takes the kept faces over all dimensions, or the
+        left-out star faces of its dimension, past the cap, so a complex
+        lying nearly all in the star is still abandoned early.
         """
-        kept = [m for m in self.masks if not any(m & g == m for g in exclude)]
-        holds: dict[int, list[int]] = {}  # vertex -> [facets, masks] bitsets
-        for i, m in enumerate(kept):
+        star, away = [], []
+        for m in self.masks:
+            (star if apex is not None and m >> apex & 1 else away).append(m)
+        # the facets through the apex take the low bits, so a bitset above
+        # ``in_star`` holds a facet that misses the apex
+        in_star = (1 << len(star)) - 1
+        holds: dict[int, int] = {}  # vertex -> bitset of facets holding it
+        for i, m in enumerate(star + away):
             for v in _bits(m):
-                holds.setdefault(v, [0, 0])[0] |= 1 << i
-        for j, g in enumerate(exclude):
-            for v in _bits(g):
-                if v in holds:
-                    holds[v][1] |= 1 << j
+                holds[v] = holds.get(v, 0) | 1 << i
         layers: list[list[int]] = [[] for _ in range(top + 1)]
         left_out = [0] * (top + 1)
         total = 0
         # an entry holds the faces grown from ``base`` by the items of
-        # ``grown`` from ``start`` on: a vertex bit, and the kept facets and
-        # excluded masks holding base plus that vertex
-        roots = [(1 << v, f, e) for v, (f, e) in sorted(holds.items())]
+        # ``grown`` from ``start`` on: a vertex bit and the facets holding
+        # base plus that vertex
+        roots = [(1 << v, f) for v, f in sorted(holds.items()) if f > in_star]
         stack = [(0, 0, roots, 0)] if top >= 0 else []
         while stack:
             base, k, grown, start = stack.pop()
             # only items before the last, below dimension top, can grow
             last = len(grown) - 1 if k < top else 0
             for i in range(start, len(grown)):
-                bit, facets, masks = grown[i]
+                bit, facets = grown[i]
                 face = base | bit
-                if masks:
+                if facets & in_star:
                     left_out[k] += 1
                     what, count = "left-out faces", left_out[k]
                 else:
@@ -146,8 +148,8 @@ class SimplicialComplex:
                         f"{what} exceeded cap {cap} in dimension {k}",
                         partial_count=count)
                 if i < last:
-                    later = [(b, facets & f, masks & e)
-                             for b, f, e in grown[i + 1:] if facets & f]
+                    later = [(b, both) for b, f in grown[i + 1:]
+                             if (both := facets & f) > in_star]
                     if later:  # walk the faces through this one first
                         stack.append((base, k, grown, i + 1))
                         stack.append((face, k + 1, later, 0))
@@ -168,35 +170,40 @@ class SimplicialComplex:
         """The complex left once no vertex is dominated.
 
         A vertex v is dominated when every facet holding v also holds some
-        other vertex w.  Deleting v (each facet F holding v becomes F - {v},
-        and only the inclusion-maximal facets are kept) is a strong
-        collapse, which keeps the homotopy type and so the integer homology,
-        torsion included (Barmak-Minian, "Strong homotopy types, nerves and
-        collapses", 2012).  Vertices are scanned in ascending label order,
-        pass after pass, until a pass deletes nothing, so the result is
-        deterministic.  Labels and ``ground_set`` are kept; the core of a
-        nonempty complex is nonempty, because a deleted vertex always
-        leaves its dominating vertex behind.
+        other vertex w.  Deleting v is a strong collapse, which keeps the
+        homotopy type and so the integer homology, torsion included
+        (Barmak-Minian, "Strong homotopy types, nerves and collapses",
+        2012).  The facets missing v stay facets, as none lies inside
+        another facet; each facet through v, less v, stays when it lies in
+        none of them and in no other such set.  The complex's vertices are
+        scanned in ascending label order, pass after pass, until a pass
+        deletes nothing, so the result is deterministic.  Labels and
+        ``ground_set`` are kept; the core of a nonempty complex is
+        nonempty, because a deleted vertex always leaves its dominating
+        vertex behind.
         """
         facets = list(self.masks)
+        labels = self.vertices()  # a deletion removes only its own vertex
         deleted = False
         changed = True
         while changed:
             changed = False
-            for v in range(self.ground_set):
+            for v in labels:
                 bit = 1 << v
                 meet = -1
                 for f in facets:
                     if f & bit:
                         meet &= f
                 if meet == -1 or meet == bit:
-                    continue  # v is absent, or no other vertex dominates it
-                # a facet through v, less v, can only fall inside a facet
-                # holding all of meet; the other facets stay maximal
-                near = meet ^ bit
-                stay = [f for f in facets if not f & bit and f & near != near]
-                facets = stay + _maximal([f & ~bit for f in facets
-                                          if f & bit or f & near == near])
+                    continue  # v is gone, or no other vertex dominates it
+                cut = _maximal([f ^ bit for f in facets if f & bit])
+                facets = [f for f in facets if not f & bit]
+                for m in cut:
+                    for f in facets:
+                        if m & f == m:
+                            break
+                    else:
+                        facets.append(m)
                 changed = deleted = True
         if not deleted:
             return self

@@ -252,9 +252,11 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
     H~_k(core) = H_k(core, st v) for every k, over Z, torsion included.
     The cells are the core's faces outside st v, that is the faces of core
     facets missing v that lie in no core facet through v, listed by the
-    face walk of ``SimplicialComplex.faces_up_to`` with those facets
-    excluded.  The answer is exact whichever vertex is chosen; the rule
-    only aims at the largest star, which leaves the fewest cells.
+    face walk of ``SimplicialComplex.faces_up_to`` with v as its apex.
+    The weights are summed over the core's vertices only, so labels the
+    core lacks cost nothing.  The answer is exact whichever vertex is
+    chosen; the rule only aims at the largest star, which leaves the
+    fewest cells.
 
     Dimensions 0..max_dim are covered (all of c's when max_dim is None),
     those above the core's dimension with empty layers, and
@@ -270,28 +272,15 @@ def boundary_matrices(c: SimplicialComplex, max_dim: Optional[int] = None,
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     core = c.strong_core()
-    weight = [0] * c.ground_set
+    weight: dict[int, int] = {}
     for m in core.masks:
         size = 1 << m.bit_count()
         for v in _bits(m):
-            weight[v] += size
-    apex = None
-    if core.masks:
-        # max keeps the first of equal weights, so the lowest label wins
-        apex = max(range(c.ground_set), key=weight.__getitem__)
-    return _relative_chains(core, apex, max_dim, c.dimension, face_cap)
-
-
-def _relative_chains(k: SimplicialComplex, v: Optional[int], max_dim: int,
-                     complex_dim: int, face_cap: Optional[int] = None
-                     ) -> ChainComplexData:
-    """Chain data of the pair (k, st v) for dimensions 0..max_dim, standing
-    for a complex of dimension ``complex_dim``: the faces of k outside the
-    closed star of its vertex v (v None only when k is empty), capped by
-    ``face_cap`` as in :func:`boundary_matrices`."""
-    star = [m for m in k.masks if m >> v & 1]
-    return ChainComplexData(max_dim, complex_dim, k.faces_up_to(
-        max_dim + 1, cap=face_cap, exclude=star), v)
+            weight[v] = weight.get(v, 0) + size
+    # max keeps the first of equal weights, so the lowest label wins
+    apex = max(sorted(weight), key=weight.__getitem__, default=None)
+    return ChainComplexData(max_dim, c.dimension, core.faces_up_to(
+        max_dim + 1, cap=face_cap, apex=apex), apex)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -129,6 +130,19 @@ def test_homology_from_facet_file(tmp_path, capsys):
     assert code == 0
     assert payload["betti"] == [0, 0, 1]
     assert payload["source"] == "facets"
+
+
+def test_homology_of_facets_with_a_far_label_costs_what_its_facets_do(
+        tmp_path, capsys):
+    # two edges through the label 10**6 and one apart: the core is two
+    # points, and no step may walk the million labels the file skips
+    fpath = tmp_path / "facets.txt"
+    fpath.write_text("dim 1\n0 1000000\n1 1000000\n2 3\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "homology", "--facets", str(fpath))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 0]
 
 
 def test_homology_facets_excludes_graph_sources(tmp_path, capsys):

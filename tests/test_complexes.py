@@ -679,27 +679,29 @@ facet_lists = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
 
 
 @settings(max_examples=100, deadline=None)
-@given(facet_lists, st.lists(st.integers(1, 255), max_size=4),
+@given(facet_lists, st.one_of(st.none(), st.integers(0, 8)),
        st.integers(-1, 4))
-def test_face_enumeration_leaves_out_the_faces_inside_excluded_masks(
-        facets, exclude, top):
+def test_face_enumeration_leaves_out_the_faces_in_the_star_of_the_apex(
+        facets, apex, top):
     c = SimplicialComplex.from_faces(8, facets)
-    got = c.faces_up_to(top, exclude=exclude)
-    want = [tuple(f for f in layer if not any(f & g == f for g in exclude))
+    star = [m for m in c.masks if apex is not None and m >> apex & 1]
+    got = c.faces_up_to(top, apex=apex)
+    want = [tuple(f for f in layer if not any(f & g == f for g in star))
             for layer in c.faces_up_to(top)]
     assert list(got) == want
     # the cap counts the kept faces over all dimensions, and in each
-    # dimension the faces of kept facets it visits inside an excluded mask
-    kept = [f for f in c.masks if not any(f & g == f for g in exclude)]
+    # dimension the faces of facets missing the apex that it visits
+    # inside the star
+    away = [m for m in c.masks if m not in star]
     listed = [sum(1 for f in layer
-                  if any(f & g == f for g in exclude)
-                  and any(f & m == f for m in kept))
+                  if any(f & g == f for g in star)
+                  and any(f & m == f for m in away))
               for layer in c.faces_up_to(top)]
     cap = max([sum(map(len, want))] + listed)
-    assert c.faces_up_to(top, cap=cap, exclude=exclude) == got
+    assert c.faces_up_to(top, cap=cap, apex=apex) == got
     if cap:
         with pytest.raises(ResourceCapError) as err:
-            c.faces_up_to(top, cap=cap - 1, exclude=exclude)
+            c.faces_up_to(top, cap=cap - 1, apex=apex)
         # the walk stops at the face that passes the cap
         assert err.value.partial_count == cap
 
@@ -714,12 +716,31 @@ def test_face_enumeration_walks_only_the_vertices_that_appear():
     def relabel(m):
         return m & 0b11 | (m >> 2) << far
 
-    for exclude in ((), (0b101,), (0b011, 0b110)):
+    for apex in (None, 0, 1, 2):
         want = tuple(tuple(sorted(map(relabel, layer)))
-                     for layer in small.faces_up_to(2, exclude=exclude))
-        assert c.faces_up_to(2, exclude=tuple(map(relabel, exclude))) == want
+                     for layer in small.faces_up_to(2, apex=apex))
+        assert c.faces_up_to(2, apex=far if apex == 2 else apex) == want
     hub = 1 << far
     assert c.faces_up_to(1) == ((1, 2, hub), (hub | 1, hub | 2))
+
+
+def test_strong_core_rewrites_only_the_facets_through_the_deleted_vertex(
+        monkeypatch):
+    # the 1,000-leaf cone loses its leaves in order, and each deletion
+    # hands _maximal only the one facet through the leaf, less the leaf
+    cone = parse_facet_list("dim 1\n" + "".join(
+        f"{i} 1000\n" for i in range(1000)))
+    received = []
+    maximal = complexes._maximal
+
+    def counted(masks):
+        masks = list(masks)
+        received.append(len(masks))
+        return maximal(masks)
+
+    monkeypatch.setattr(complexes, "_maximal", counted)
+    assert cone.strong_core().facets == ((1000,),)
+    assert sum(received) <= 2000
 
 
 @settings(max_examples=80)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +20,8 @@ from nbcomplex import (AtLeast, ChainComplexData, Graph, ResourceCapError,
                        complete_graph, cycle_graph, euler_characteristic,
                        gnp_sample, graph_homology, homological_connectivity,
                        homology_integer, lovasz_retract,
-                       neighborhood_complex, smith_normal_form)
+                       neighborhood_complex, parse_facet_list,
+                       smith_normal_form)
 from nbcomplex.graphs import _bits
 from nbcomplex.homology import _boundary_columns, betti_field2, gf2_rank
 
@@ -588,9 +590,9 @@ def test_graph_homology_enumerates_faces_once_on_the_core(monkeypatch):
     seen = []
     enumerate_faces = SimplicialComplex.faces_up_to
 
-    def counted(self, top, cap=None, exclude=()):
-        seen.append((self, tuple(exclude)))
-        return enumerate_faces(self, top, cap, exclude)
+    def counted(self, top, cap=None, apex=None):
+        seen.append((self, apex))
+        return enumerate_faces(self, top, cap, apex)
 
     monkeypatch.setattr(SimplicialComplex, "faces_up_to", counted)
     for g in (complete_bipartite_graph(3, 4), complete_graph(6),
@@ -599,7 +601,7 @@ def test_graph_homology_enumerates_faces_once_on_the_core(monkeypatch):
         v = largest_star_vertex(core)
         seen.clear()
         graph_homology(g)
-        assert seen == [(core, tuple(m for m in core.masks if m >> v & 1))]
+        assert seen == [(core, v)]
 
 
 def test_face_cap_exhausts_every_route():
@@ -698,6 +700,17 @@ def test_boundary_matrices_keep_the_input_width_and_flags():
     assert empty.empty and empty.betti == (0,)
 
 
+def test_boundary_matrices_of_a_cone_with_a_far_apex_stay_cheap():
+    # 1,000 edges to the hub 100000: the core is the hub, chosen as the
+    # apex from the core's own vertices, not from the 100,001 labels
+    cone = parse_facet_list("dim 1\n" + "".join(
+        f"{i} 100000\n" for i in range(1000)))
+    start = time.perf_counter()
+    d = boundary_matrices(cone)
+    assert time.perf_counter() - start < 2.0
+    assert d.relative_to == 100000 and d.faces == ((), (), ())
+
+
 def test_result_json_shape():
     r, _ = graph_homology(cycle_graph(5))
     d = r.to_json_dict()
@@ -710,9 +723,11 @@ def test_result_json_shape():
 
 
 def relative_chains(c, v, max_dim=None):
-    """Chain data of the pair (c, st v), through the builder's helper."""
+    """Chain data of the pair (c, st v): the faces of c outside the star of
+    its vertex v, from the face walk with v as its apex."""
     top = max(c.dimension, 0) if max_dim is None else max_dim
-    return homology._relative_chains(c, v, top, c.dimension)
+    return ChainComplexData(top, c.dimension,
+                            c.faces_up_to(top + 1, apex=v), v)
 
 
 def all_subsets_chains(c):
