@@ -10,11 +10,12 @@ neighborhoods under intersection yields the poset of closed sets; its order
 complex (vertices are closed sets, faces are chains) is a deformation
 retract of N[G], listed by ``lovasz_retract`` as its maximal chains for the
 ``retract`` command and kept as an independent cross-check of the
-homology.  One bitmask builder with one
-element cap closes the family for both ``closed_set_poset`` and
-``closed_set_stats``; survey records need only the poset's size and
-height, which the latter returns without the cover relation.  The face
-poset itself is never materialized.
+homology.  One walk with one element cap closes the family for both
+``closed_set_poset`` and ``closed_set_stats``; it takes the sets by
+decreasing size and carries each one's depth below the neighborhoods, so
+it finds the poset's height as it goes.  Survey records need only that
+size and height, which ``closed_set_stats`` returns without the cover
+relation.  The face poset itself is never materialized.
 Neighborliness is a minimum hitting set of the non-neighborhoods, found by
 branch-and-bound on the same bitmasks that settles its last two vertices
 in closed form; its work cap counts the non-neighborhoods the search reads.
@@ -503,47 +504,47 @@ class ClosedSetPoset:
         }
 
 
-def _closed_sets(g: Graph, element_cap: int) -> tuple[set[int], set[int]]:
-    """The nonempty neighborhoods closed under intersection, and the
-    distinct nonempty neighborhoods among them, as int bitmasks.
-
-    The family is closed one neighborhood at a time: once a family F is
-    closed, adding N(v) adds N(v) and every nonempty N(v) & f for f in F.
-    The family counts against ``element_cap`` once it holds a set that is
-    no neighborhood.  A step at most doubles it, so it never holds more
-    than 2 * max(element_cap, n) + 1 sets.
-    """
-    masks = g.masks
-    neighborhoods = set(masks)
-    neighborhoods.discard(0)
-    family: set[int] = set()
-    for a in masks:
-        if not a or a in family:
-            continue
-        family |= {a & f for f in family}
-        family.discard(0)
-        family.add(a)
-        size = len(family) + len(neighborhoods - family)
-        if size > element_cap and not family <= neighborhoods:
-            raise ResourceCapError(
-                f"closed-set family exceeded element cap {element_cap}",
-                partial_count=size)
-    return family, neighborhoods
-
-
-def _height(family: set[int], neighborhoods: set[int]) -> int:
-    """Longest chain length minus one (-1 for an empty family).
+def _closed_set_depths(g: Graph, element_cap: int
+                       ) -> tuple[dict[int, int], list[int]]:
+    """The nonempty neighborhoods closed under intersection, each mapped to
+    its depth (the longest chain of closed sets above it), and the distinct
+    nonempty neighborhoods, as int bitmasks.
 
     A closed set s strictly inside t is an intersection of neighborhoods,
     one of which, N(v), misses part of t; so s lies inside t & N(v), itself
-    a closed set strictly inside t.  Heights grow along inclusion, so a DP
-    in popcount order over the candidates t & N(v) is enough.
+    a closed set strictly inside t.  So a walk from the neighborhoods at
+    depth 0 that takes the sets by decreasing popcount and puts each
+    nonempty t & N(v) other than t at depth(t) + 1 or deeper reaches every
+    closed set along every strict inclusion, and a set's depth is final when
+    it is taken, since its supersets are larger.  The family counts against
+    ``element_cap`` from its first set that is no neighborhood; the walk
+    stops at the set that passes the cap.
     """
-    heights: dict[int, int] = {}
-    for t in sorted(family, key=int.bit_count):
-        heights[t] = 1 + max((heights[t & a] for a in neighborhoods
-                              if t & a and t & a != t), default=-1)
-    return max(heights.values(), default=-1)
+    neighborhoods = list(set(g.masks) - {0})
+    depth = dict.fromkeys(neighborhoods, 0)
+    levels: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for a in neighborhoods:
+        levels[a.bit_count()].append(a)
+    # a single vertex has no nonempty strict subset; the walk only appends
+    # to levels below the one it reads
+    for level in reversed(levels[2:]):
+        for t in level:
+            d = depth[t] + 1
+            below = {t & a for a in neighborhoods}
+            below.discard(0)
+            below.discard(t)
+            for s in below:
+                known = depth.get(s)
+                if known is None:
+                    depth[s] = d
+                    levels[s.bit_count()].append(s)
+                    if len(depth) > element_cap:
+                        raise ResourceCapError(
+                            f"closed-set family exceeded element cap "
+                            f"{element_cap}", partial_count=len(depth))
+                elif known < d:
+                    depth[s] = d
+    return depth, neighborhoods
 
 
 def closed_set_poset(g: Graph, element_cap: int = 20_000) -> ClosedSetPoset:
@@ -553,12 +554,12 @@ def closed_set_poset(g: Graph, element_cap: int = 20_000) -> ClosedSetPoset:
     The family is exactly the image of the double common-neighbor closure
     on nonempty faces, so it carries the homotopy type of the neighborhood
     complex without ever enumerating faces.  By the argument in
-    ``_height``, the lower covers of an element t are the inclusion-maximal
-    sets among the nonempty t & N(v) other than t.
+    ``_closed_set_depths``, the lower covers of an element t are the
+    inclusion-maximal sets among the nonempty t & N(v) other than t.
     """
-    family, neighborhoods = _closed_sets(g, element_cap)
-    members = {t: tuple(_bits(t)) for t in family}
-    order = sorted(family, key=lambda t: (t.bit_count(), members[t]))
+    depth, neighborhoods = _closed_set_depths(g, element_cap)
+    members = {t: tuple(_bits(t)) for t in depth}
+    order = sorted(depth, key=lambda t: (t.bit_count(), members[t]))
     index = {t: i for i, t in enumerate(order)}
     covers: list[tuple[int, int]] = []
     for j, t in enumerate(order):
@@ -566,7 +567,7 @@ def closed_set_poset(g: Graph, element_cap: int = 20_000) -> ClosedSetPoset:
                    _maximal(t & a for a in neighborhoods if t & a != t)]
     covers.sort()
     return ClosedSetPoset(tuple(members[t] for t in order), tuple(covers),
-                          _height(family, neighborhoods))
+                          max(depth.values(), default=-1))
 
 
 def closed_set_stats(g: Graph, element_cap: int = 20_000) -> tuple[int, int]:
@@ -574,8 +575,8 @@ def closed_set_stats(g: Graph, element_cap: int = 20_000) -> tuple[int, int]:
     ``(0, -1)`` for an edgeless graph, without the cover relation; the same
     graphs hit the element cap with the same message.
     """
-    family, neighborhoods = _closed_sets(g, element_cap)
-    return len(family), _height(family, neighborhoods)
+    depth, _ = _closed_set_depths(g, element_cap)
+    return len(depth), max(depth.values(), default=-1)
 
 
 def lovasz_retract(p: ClosedSetPoset, chain_cap: int = 500_000

@@ -362,12 +362,19 @@ def homology_integer(d: ChainComplexData) -> HomologyResult:
     inverse.  The dropped columns are integer combinations of the kept
     ones, so the column lattice, the rank and the factors are unchanged.
 
+    A map on an empty layer of k-faces has rank 0, no factors and no pivot
+    rows, so it is never built.
+
     The result's GF(2) Betti numbers are derived from its Betti numbers and
     torsion (:attr:`HomologyResult.field2`); nothing more is reduced.
     """
     snf = []
     cleared = frozenset()
     for k in range(d.max_dim + 1, -1, -1):
+        if not d.face_count(k):
+            snf.append((0, ()))
+            cleared = frozenset()
+            continue
         rank, factors, pivot_rows = _smith_reduce(
             _boundary_columns(d, k, cleared))
         snf.append((rank, factors))

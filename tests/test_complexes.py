@@ -637,11 +637,34 @@ def test_closed_set_stats_raise_where_the_poset_does():
         message = capped(poset_stats, g, **caps)
         assert isinstance(message, str)
         assert capped(closed_set_stats, g, **caps) == message
+    # the walk adds one set at a time and stops at the first past the cap
+    for build in (closed_set_stats, closed_set_poset):
+        with pytest.raises(ResourceCapError) as err:
+            build(complete_graph(20))
+        assert err.value.partial_count == 20_001
     # a perfect matching: fourteen neighborhoods and no new intersection,
     # so neither construction counts them against a cap of ten
     matching = Graph.from_edges(14, [(2 * i, 2 * i + 1) for i in range(7)])
     assert closed_set_stats(matching, element_cap=10) == \
         poset_stats(matching, element_cap=10) == (14, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(10))
+def test_common_neighbors_are_an_involution_on_the_closed_sets(g):
+    def common(t):
+        return frozenset.intersection(*(g.neighbors(u) for u in t))
+
+    family = set(closed_set_poset(g).element_sets())
+    for t in family:
+        assert common(t) in family
+        assert common(common(t)) == t
+    for s in family:
+        for t in family:
+            if s < t:
+                assert common(t) <= common(s)
+    want = reference_poset(g)
+    assert closed_set_stats(g) == (len(want.elements), want.height)
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,9 @@ REFERENCE_IDS = ["rp2", "suspended-rp2", "torus"]
 
 
 def cleared_reductions(d):
-    """What homology_integer hands the Smith reduction, top dimension
-    first: per call the columns reduced, the rank, the invariant factors
-    and the number of unit pivots."""
+    """What homology_integer hands the Smith reduction, one entry per
+    nonempty layer of cells, bottom dimension first: the columns reduced,
+    the rank, the invariant factors and the number of unit pivots."""
     seen = []
     reduce = homology._smith_reduce
 
@@ -246,11 +246,13 @@ def cleared_reductions(d):
 
 def assert_clearing_is_exact(d):
     result, reductions = cleared_reductions(d)
-    assert len(reductions) == d.max_dim + 2
-    for k, (ncols, rank, factors, units) in enumerate(reductions):
+    # a map on an empty layer of cells is neither built nor reduced
+    layers = [k for k in range(d.max_dim + 2) if d.face_count(k)]
+    assert len(reductions) == len(layers)
+    units_at = {k: r[3] for k, r in zip(layers, reductions)}
+    for k, (ncols, rank, factors, units) in zip(layers, reductions):
         # cleared: the unit pivot rows of the map above are not columns here
-        above = reductions[k + 1][3] if k + 1 < len(reductions) else 0
-        assert ncols == d.face_count(k) - above
+        assert ncols == d.face_count(k) - units_at.get(k + 1, 0)
         assert (rank, factors) == \
             smith_normal_form(_boundary_columns(d, k))
     assert result.field2 == betti_field2(d)
@@ -301,8 +303,8 @@ def test_clearing_skips_the_unit_pivot_rows_of_the_map_above():
     # down, each map's unit pivots clear as many columns of the next
     d = own_faces(neighborhood_complex(complete_graph(6)))
     reductions = assert_clearing_is_exact(d)
-    assert [ncols for ncols, _, _, _ in reductions] == [1, 5, 10, 10, 6, 0]
-    assert [units for _, _, _, units in reductions] == [1, 5, 10, 10, 5, 0]
+    assert [ncols for ncols, _, _, _ in reductions] == [1, 5, 10, 10, 6]
+    assert [units for _, _, _, units in reductions] == [1, 5, 10, 10, 5]
 
 
 # ---------------------------------------------------------------------------
